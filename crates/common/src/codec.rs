@@ -82,11 +82,12 @@ pub fn unframe(buf: &[u8]) -> Result<&[u8], CodecError> {
 /// connection dies cleanly rather than OOMing the server.
 pub const MAX_FRAME_BODY: usize = 64 << 20;
 
-/// Write one frame (`[len][crc32][body]`, as [`frame`]) to a byte stream.
+/// Write one frame (`[len][crc32][body]`, as [`frame`]) to a byte stream
+/// as a single buffer, so an unbuffered socket sees one `write` per frame
+/// rather than one per header field (on a `TCP_NODELAY` stream each
+/// separate write is its own syscall and, often, its own segment).
 pub fn write_frame_to(w: &mut dyn std::io::Write, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&crate::crc::crc32(body).to_le_bytes())?;
-    w.write_all(body)?;
+    w.write_all(&frame(body))?;
     w.flush()
 }
 
@@ -458,6 +459,55 @@ mod tests {
         let err = read_frame_from(&mut r).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds cap"), "{err}");
+    }
+
+    /// Counts `write` calls, the way a socket would count syscalls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_to_issues_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame_to(&mut w, b"prepare_op table=3 key=42").unwrap();
+        assert_eq!(w.writes, 1, "header, CRC and body must leave as one buffer");
+        write_frame_to(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2, "an empty body is still one write");
+        assert_eq!(w.bytes[..FRAME_HEADER + 25], frame(b"prepare_op table=3 key=42")[..]);
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_through_a_buf_reader() {
+        let mut stream = Vec::new();
+        let big = vec![0x5A; 20_000]; // larger than the reader's buffer
+        for body in [&b"first"[..], &big[..], &b"third"[..]] {
+            write_frame_to(&mut stream, body).unwrap();
+        }
+        let mut r = std::io::BufReader::new(&stream[..]);
+        assert_eq!(read_frame_from(&mut r).unwrap().unwrap(), b"first");
+        assert_eq!(read_frame_from(&mut r).unwrap().unwrap(), big);
+        assert_eq!(read_frame_from(&mut r).unwrap().unwrap(), b"third");
+        assert!(read_frame_from(&mut r).unwrap().is_none(), "clean EOF between frames");
+
+        // The raw reader hands back exactly one frame's bytes per call, so
+        // a buffered read-ahead never bleeds the next frame into this one.
+        let mut r = std::io::BufReader::new(&stream[..]);
+        assert_eq!(read_raw_frame_from(&mut r).unwrap().unwrap(), frame(b"first"));
+        assert_eq!(unframe(&read_raw_frame_from(&mut r).unwrap().unwrap()).unwrap(), &big[..]);
     }
 
     #[test]

@@ -43,6 +43,10 @@ pub enum Error {
     /// is already occupied. Carries the occupancy so clients can report
     /// (and tests can assert) the exact admission state.
     ServerBusy { active: u64, cap: u64 },
+    /// A message-boundary token names no parked guard on the DC: the
+    /// prepared op it staged was already applied or released, or the
+    /// token was never issued.
+    UnknownToken(u64),
     /// Underlying file I/O failure (file-backed disk only).
     Io(std::io::Error),
 }
@@ -82,6 +86,7 @@ impl fmt::Display for Error {
             Error::ServerBusy { active, cap } => {
                 write!(f, "server busy: {active} of {cap} sessions in use")
             }
+            Error::UnknownToken(t) => write!(f, "unknown or already-consumed DC token {t}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
         }
     }

@@ -379,8 +379,9 @@ impl Engine {
             self.dc.prepare_op(table, key, WriteIntent::Update { value_len: value.len() })?;
         let before = prep.before.take().expect("update prepare returns a before-image");
         let rec = self.tc.log_update(txn, table, key, prep.pid, before, value)?;
-        self.dc.apply(&rec)
-        // `prep`'s latches drop here — after the apply they protected.
+        // Apply consumes `prep`: its latches drop after the apply they
+        // protected (over a wire, in the same exchange).
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {
@@ -395,7 +396,7 @@ impl Engine {
         let prep =
             self.dc.prepare_op(table, key, WriteIntent::Insert { value_len: value.len() })?;
         let rec = self.tc.log_insert(txn, table, key, prep.pid, value)?;
-        self.dc.apply(&rec)
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {
@@ -410,7 +411,7 @@ impl Engine {
         let mut prep = self.dc.prepare_op(table, key, WriteIntent::Delete)?;
         let before = prep.before.take().expect("delete prepare returns a before-image");
         let rec = self.tc.log_delete(txn, table, key, prep.pid, before)?;
-        self.dc.apply(&rec)
+        self.dc.apply(prep, &rec)
     }
 
     default_table_op! {

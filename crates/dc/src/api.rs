@@ -27,17 +27,22 @@
 //! ## Contract rules (what every implementation must uphold)
 //!
 //! * **Write protocol**: the TC calls [`DcApi::prepare_op`] (placement +
-//!   before-image, latches held by the returned guard), logs the record,
-//!   then calls [`DcApi::apply`] while the guard is alive. Per-page apply
-//!   order must equal log order, and every apply stamps the page LSN, so
-//!   the pLSN redo test stays sound.
+//!   before-image, latches held by the returned [`PreparedOp`]), logs the
+//!   record, then hands the op to [`DcApi::apply`], which applies under
+//!   the latches and releases them — apply *consumes* the prepared op, so
+//!   over a message boundary one `Apply` message both applies and frees
+//!   the parked guard. Per-page apply order must equal log order, and
+//!   every apply stamps the page LSN, so the pLSN redo test stays sound.
 //! * **LSN rules**: `apply_at(pid, rec)` installs `rec`'s effect under
 //!   `rec.lsn` with *no* redo test — callers (recovery) run their own
 //!   DPT/rLSN/pLSN screens first. Structure modifications are logged as
 //!   redo-only SMO system transactions before the data record that
 //!   depends on them.
 //! * **Control-op ordering**: `eosl` publishes the TC's end-of-stable-log
-//!   (the write-ahead gate the cache enforces before flushing);
+//!   (the write-ahead gate the cache enforces before flushing). EOSL is
+//!   monotone, so a deployment may deliver it late — the message proxy
+//!   piggybacks it on the next request rather than spending a round trip
+//!   — as long as it arrives before any DC work that could flush;
 //!   [`DcApi::rssp`] must flush every page dirtied before the announced
 //!   LSN, emit pending recovery bookkeeping, and durably record the RSSP
 //!   *before* returning — the checkpoint bracket (bCkpt → RSSP → eCkpt)
@@ -66,13 +71,25 @@ pub trait OpGuard {}
 impl<T: ?Sized> OpGuard for T {}
 
 /// A staged write, backend-agnostic: the placement PID, the before-image
-/// for undo, and an opaque guard that keeps the placement valid until the
-/// caller has logged and applied the operation (drop after
-/// [`DcApi::apply`]).
+/// for undo, and whatever keeps the placement valid until the caller has
+/// logged the operation and handed the op to [`DcApi::apply`], which
+/// consumes it and releases that hold once the apply is done.
 ///
-/// The guard box is `Send`: a message-passing deployment parks prepared
-/// ops server-side in a token map and releases them from whichever thread
-/// serves the release request, so guards cannot be thread-affine (the
+/// The hold takes one of three shapes:
+///
+/// * **latches** ([`PreparedOp::new`]) — guards held in this address
+///   space; dropping the op releases them;
+/// * **unguarded** ([`PreparedOp::unguarded`]) — nothing held: for
+///   single-threaded [`DcApi::prepare_write`] callers (recovery, replicas)
+///   and callers already holding [`DcApi::lock_table_exclusive`];
+/// * **parked** ([`PreparedOp::parked`]) — the latches live on the far
+///   side of a message boundary under a token. Apply carries the token and
+///   frees them server-side; only an op dropped *without* being applied
+///   runs its release callback.
+///
+/// The hold is `Send`: a message-passing deployment parks prepared ops
+/// server-side in a token map and applies or releases them from whichever
+/// thread serves the request, so guards cannot be thread-affine (the
 /// backends use [`lr_common::latch::Latch`] for exactly this reason).
 pub struct PreparedOp<'a> {
     /// Page the operation will land on (piggybacked onto the TC's log
@@ -80,7 +97,12 @@ pub struct PreparedOp<'a> {
     pub pid: PageId,
     /// Before-image for undo (`None` for inserts).
     pub before: Option<Value>,
-    _guard: Box<dyn OpGuard + Send + 'a>,
+    hold: Hold<'a>,
+}
+
+enum Hold<'a> {
+    Latches(#[allow(dead_code)] Box<dyn OpGuard + Send + 'a>),
+    Parked { token: u64, release: Option<Box<dyn FnOnce(u64) + Send + 'a>> },
 }
 
 impl<'a> PreparedOp<'a> {
@@ -90,13 +112,51 @@ impl<'a> PreparedOp<'a> {
         before: Option<Value>,
         guard: impl OpGuard + Send + 'a,
     ) -> PreparedOp<'a> {
-        PreparedOp { pid, before, _guard: Box::new(guard) }
+        PreparedOp { pid, before, hold: Hold::Latches(Box::new(guard)) }
+    }
+
+    /// A staged write that holds nothing (see the type docs for who may
+    /// use one).
+    pub fn unguarded(pid: PageId) -> PreparedOp<'static> {
+        PreparedOp::new(pid, None, ())
+    }
+
+    /// A staged write whose latches are parked under `token` on the far
+    /// side of a message boundary. `release` runs only if the op is
+    /// dropped without [`PreparedOp::take_token`] having claimed it.
+    pub fn parked(
+        pid: PageId,
+        before: Option<Value>,
+        token: u64,
+        release: impl FnOnce(u64) + Send + 'a,
+    ) -> PreparedOp<'a> {
+        PreparedOp { pid, before, hold: Hold::Parked { token, release: Some(Box::new(release)) } }
+    }
+
+    /// Claim a parked op's token for an apply that frees it at the far
+    /// side, disarming the drop-time release. `None` for a local hold,
+    /// which stays in force until the op is dropped.
+    pub fn take_token(&mut self) -> Option<u64> {
+        match &mut self.hold {
+            Hold::Parked { token, release } => release.take().map(|_| *token),
+            Hold::Latches(_) => None,
+        }
     }
 
     /// The placement + before-image without the guard (single-threaded
     /// callers).
     pub fn info(&self) -> PrepareInfo {
         PrepareInfo { pid: self.pid, before: self.before.clone() }
+    }
+}
+
+impl Drop for PreparedOp<'_> {
+    fn drop(&mut self) {
+        if let Hold::Parked { token, release } = &mut self.hold {
+            if let Some(release) = release.take() {
+                release(*token);
+            }
+        }
     }
 }
 
@@ -172,6 +232,13 @@ pub trait DcIntrospect: Send + Sync {
     /// The shared log handle (TC and DC write one common log, §4.1).
     fn wal(&self) -> SharedWal;
 
+    /// This handle as a message-boundary proxy, if it is one — its wire
+    /// telemetry, EOSL watermark and co-located server live there. `None`
+    /// for in-process backends.
+    fn as_remote(&self) -> Option<&crate::remote::RemoteDc> {
+        None
+    }
+
     /// How many frames the cache can actually fill: its capacity bounded
     /// by the database size (the paper's 2048 MB case).
     fn cache_fill_target(&self) -> usize {
@@ -214,9 +281,10 @@ pub trait DcApi: DcIntrospect {
     fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo>;
 
     /// Apply a logged data operation to the page named by the record (the
-    /// normal-execution path). Call while the corresponding
-    /// [`PreparedOp`] guard is alive; stamps the page with `rec.lsn`.
-    fn apply(&self, rec: &LogRecord) -> Result<()>;
+    /// normal-execution path), consuming the [`PreparedOp`] that staged
+    /// it: the op's hold stays in force for the whole apply and is
+    /// released when it returns. Stamps the page with `rec.lsn`.
+    fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()>;
 
     /// Apply `rec`'s operation to `pid` under `rec.lsn`, with **no redo
     /// test** — callers (recovery paths) run their own screens. Shared by
@@ -229,7 +297,8 @@ pub trait DcApi: DcIntrospect {
 
     /// EOSL: the TC advertises its end-of-stable-log — the write-ahead
     /// gate the cache enforces before flushing a page whose pLSN exceeds
-    /// the last advertised value.
+    /// the last advertised value. Monotone (a lower value than one already
+    /// published is ignored), and a late delivery only delays flushing.
     fn eosl(&self, elsn: Lsn);
 
     /// RSSP: the TC announces its intended redo-scan-start-point (its
@@ -412,11 +481,31 @@ mod tests {
     fn prepared_op_carries_arbitrary_guards() {
         let lock = lr_common::Latch::new();
         let guard = lock.read();
-        let op = PreparedOp::new(PageId(7), Some(vec![1, 2]), guard);
+        let mut op = PreparedOp::new(PageId(7), Some(vec![1, 2]), guard);
         assert_eq!(op.pid, PageId(7));
         assert_eq!(op.info().before.unwrap(), vec![1, 2]);
+        assert_eq!(op.take_token(), None, "a local hold has no token");
+        assert!(lock.try_write().is_none(), "the latch outlives take_token");
         drop(op); // releases the latch
         assert!(lock.try_write().is_some());
+    }
+
+    #[test]
+    fn parked_op_releases_only_when_dropped_unclaimed() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let released = AtomicU64::new(0);
+        let release = |token| {
+            released.store(token, Ordering::SeqCst);
+        };
+        drop(PreparedOp::parked(PageId(1), None, 41, release));
+        assert_eq!(released.load(Ordering::SeqCst), 41, "an unapplied op releases its token");
+
+        released.store(0, Ordering::SeqCst);
+        let mut op = PreparedOp::parked(PageId(1), None, 42, release);
+        assert_eq!(op.take_token(), Some(42));
+        assert_eq!(op.take_token(), None, "a token is claimed once");
+        drop(op);
+        assert_eq!(released.load(Ordering::SeqCst), 0, "a claimed token is not released again");
     }
 
     /// The server-held-token deployment depends on prepared ops being

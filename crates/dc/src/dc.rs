@@ -851,7 +851,8 @@ impl DataComponent {
 
     /// Apply a logged data operation to the page named by the record (the
     /// normal-execution path; recovery has its own redo-test-guarded paths).
-    /// Call while the corresponding [`PreparedOp`] guard is alive.
+    /// Call while the corresponding [`PreparedOp`] guard is alive (the
+    /// [`DcApi::apply`] wrapper consumes the guard after this returns).
     pub fn apply(&self, rec: &LogRecord) -> Result<()> {
         self.apply_at(
             rec.payload.data_pid().ok_or_else(|| {
@@ -1173,8 +1174,10 @@ impl DcApi for DataComponent {
         DataComponent::prepare_write(self, table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
-        DataComponent::apply(self, rec)
+    fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        let applied = DataComponent::apply(self, rec);
+        drop(op); // the latches protected the whole apply, merge included
+        applied
     }
 
     fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {

@@ -674,13 +674,14 @@ impl DcApi for HashDc {
         self.prepare_locked(table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
+    fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         let pid = rec
             .payload
             .data_pid()
             .ok_or_else(|| Error::RecoveryInvariant("apply of a non-data record".to_string()))?;
         self.apply_at(pid, rec)?;
         self.pump_events();
+        drop(op);
         Ok(())
     }
 
@@ -1034,7 +1035,7 @@ mod tests {
             value,
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &LogRecord { lsn, payload }).unwrap();
     }
 
     #[test]
@@ -1103,7 +1104,7 @@ mod tests {
             after: vec![9u8; 200],
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &LogRecord { lsn, payload }).unwrap();
         assert_eq!(DcApi::read(&dc, T, 5).unwrap().unwrap(), vec![9u8; 200]);
         dc.verify_table(T).unwrap(); // exactly one copy, index in sync
     }

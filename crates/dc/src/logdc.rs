@@ -833,13 +833,14 @@ impl DcApi for LogDc {
         self.prepare_locked(table, key, intent)
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
+    fn apply(&self, op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
         let pid = rec
             .payload
             .data_pid()
             .ok_or_else(|| Error::RecoveryInvariant("apply of a non-data record".to_string()))?;
         self.apply_at(pid, rec)?;
         self.pump_events();
+        drop(op);
         Ok(())
     }
 
@@ -1218,7 +1219,7 @@ mod tests {
             }
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &LogRecord { lsn, payload }).unwrap();
     }
 
     fn delete(dc: &LogDc, key: Key) {
@@ -1232,7 +1233,7 @@ mod tests {
             before: info.before.clone().unwrap(),
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &LogRecord { lsn, payload }).unwrap();
     }
 
     #[test]
@@ -1407,8 +1408,7 @@ mod tests {
                     after: value,
                 };
                 let lsn = dc.wal().append(&payload);
-                dc.apply(&LogRecord { lsn, payload }).unwrap();
-                drop(op);
+                dc.apply(op, &LogRecord { lsn, payload }).unwrap();
             }
         }
         stop.store(true, AOrd::Relaxed);

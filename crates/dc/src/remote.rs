@@ -19,10 +19,22 @@
 //! ## Guard proxies
 //!
 //! `prepare_op` / `lock_table_exclusive` hand out guards backed by
-//! server-held tokens (see [`crate::server`]): the proxy guard's `Drop`
-//! sends the matching release request. A release over a dead transport is
+//! server-held tokens (see [`crate::server`]). A prepared op is
+//! [`PreparedOp::parked`]: [`DcApi::apply`] consumes it and sends its
+//! token inside the `Apply` request, which frees the server-side guard in
+//! the same exchange — a write costs prepare + apply, two round trips.
+//! Only an op dropped without being applied sends `ReleaseOp`; the table
+//! guard's `Drop` sends `ReleaseTable`. A release over a dead transport is
 //! swallowed — the disconnect cleanup has already freed the server-side
 //! guard, so there is nothing left to release.
+//!
+//! ## EOSL is piggybacked
+//!
+//! [`DcApi::eosl`] sends nothing: it raises a client-side watermark
+//! (`fetch_max`), and every request frame carries the current watermark
+//! to the server, which publishes it before dispatch. A commit therefore
+//! costs no EOSL round trip, and the DC learns the new stable LSN with the
+//! next request — before that request can flush anything.
 
 use crate::api::{
     DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
@@ -50,6 +62,13 @@ use std::time::Instant;
 pub trait Transport: Send + Sync {
     /// Deliver one framed request and return the framed reply.
     fn call(&self, request: &[u8]) -> Result<Vec<u8>>;
+
+    /// The frame server on the far side, when it lives in this process
+    /// (tests compare both sides' telemetry and watch its guard table).
+    /// Default: `None` — the server belongs to some other process.
+    fn server(&self) -> Option<Arc<DcServer>> {
+        None
+    }
 
     /// Attach a trace journal to the far side, if the transport can reach
     /// it (the loopback hands it to its in-process server; a network
@@ -80,12 +99,6 @@ impl LoopbackTransport {
         }
     }
 
-    /// The attached server, if connected (tests use it to compare both
-    /// sides' telemetry).
-    pub fn server(&self) -> Option<Arc<DcServer>> {
-        self.server.read().clone()
-    }
-
     /// Re-attach to a server (a client re-establishing its connection).
     pub fn reconnect(&self, server: Arc<DcServer>) {
         *self.server.write() = Some(server);
@@ -108,6 +121,11 @@ impl Transport for LoopbackTransport {
         }
     }
 
+    /// The attached server, if connected.
+    fn server(&self) -> Option<Arc<DcServer>> {
+        self.server.read().clone()
+    }
+
     fn set_trace(&self, sink: TraceSink) {
         if let Some(server) = self.server.read().as_ref() {
             server.set_trace(sink);
@@ -115,15 +133,17 @@ impl Transport for LoopbackTransport {
     }
 }
 
-/// The client half of the wire: request-id stamping, round-trip timing,
-/// and per-op telemetry around a [`Transport`]. Shared (via `Arc`) by the
-/// proxy and its guard drops so *every* exchange — releases included —
-/// lands in one set of accumulators.
+/// The client half of the wire: request-id stamping, EOSL piggybacking,
+/// round-trip timing, and per-op telemetry around a [`Transport`]. Shared
+/// (via `Arc`) by the proxy and its guard drops so *every* exchange —
+/// releases included — lands in one set of accumulators.
 struct WireClient {
     transport: Arc<dyn Transport>,
     /// Request-id source; starts at 1 so 0 only ever means "the server
     /// could not read an id off the frame".
     next_req_id: AtomicU64,
+    /// Highest EOSL the TC has published; every request carries it.
+    eosl: AtomicU64,
     telemetry: WireTelemetry,
     trace: std::sync::OnceLock<TraceSink>,
 }
@@ -133,6 +153,7 @@ impl WireClient {
         WireClient {
             transport,
             next_req_id: AtomicU64::new(1),
+            eosl: AtomicU64::new(Lsn::NULL.0),
             telemetry: WireTelemetry::new(),
             trace: std::sync::OnceLock::new(),
         }
@@ -143,12 +164,13 @@ impl WireClient {
         self.trace.get().filter(|s| s.is_enabled())
     }
 
-    /// One framed round trip: stamp a fresh request id, time the
-    /// transport, check the echoed id, and record the exchange.
+    /// One framed round trip: stamp a fresh request id and the current
+    /// EOSL watermark, time the transport, check the echoed id, and
+    /// record the exchange.
     fn call(&self, req: &DcRequest) -> Result<DcReply> {
         let tag = req.tag();
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let body = req.encode();
+        let body = req.encode_with_eosl(Lsn(self.eosl.load(Ordering::Acquire)));
         if let Some(t) = self.trace() {
             t.emit(EventKind::WireRequest { req_id, op: tag as u64, bytes: body.len() as u64 });
         }
@@ -179,20 +201,6 @@ impl WireClient {
             DcReply::Err(w) => Err(w.into()),
             other => Ok(other),
         }
-    }
-}
-
-/// Proxy guard for a server-parked [`PreparedOp`]: dropping it releases
-/// the token (best-effort — a dead transport means the disconnect cleanup
-/// already did it).
-struct RemoteOpGuard {
-    client: Arc<WireClient>,
-    token: u64,
-}
-
-impl Drop for RemoteOpGuard {
-    fn drop(&mut self) {
-        let _ = self.client.call(&DcRequest::ReleaseOp { token: self.token });
     }
 }
 
@@ -277,6 +285,16 @@ impl RemoteDc {
         self.client.telemetry.snapshot()
     }
 
+    /// The co-located frame server, when the transport can reach one.
+    pub fn server(&self) -> Option<Arc<DcServer>> {
+        self.client.transport.server()
+    }
+
+    /// The EOSL watermark the next request will carry.
+    pub fn eosl_watermark(&self) -> Lsn {
+        Lsn(self.client.eosl.load(Ordering::Acquire))
+    }
+
     /// Pull the *server's* per-op accumulators across the boundary via
     /// [`DcRequest::Introspect`] — dispatch-side latencies, so the gap to
     /// [`RemoteDc::wire_telemetry`] is pure transport overhead.
@@ -323,6 +341,10 @@ impl DcIntrospect for RemoteDc {
     fn wal(&self) -> SharedWal {
         self.local.wal()
     }
+
+    fn as_remote(&self) -> Option<&RemoteDc> {
+        Some(self)
+    }
 }
 
 impl DcApi for RemoteDc {
@@ -350,8 +372,14 @@ impl DcApi for RemoteDc {
     fn prepare_op(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PreparedOp<'_>> {
         match self.call(DcRequest::PrepareOp { table, key, intent: intent.into() })? {
             DcReply::Prepared { token, pid, before } => {
-                let guard = RemoteOpGuard { client: self.client.clone(), token };
-                Ok(PreparedOp::new(pid, before, guard))
+                // Dropped unapplied, the op frees its server-side guard
+                // (best-effort: a dead transport means the disconnect
+                // cleanup already did).
+                let client = self.client.clone();
+                let release = move |token| {
+                    let _ = client.call(&DcRequest::ReleaseOp { token });
+                };
+                Ok(PreparedOp::parked(pid, before, token, release))
             }
             other => Err(Self::protocol("prepare_op", other)),
         }
@@ -364,11 +392,25 @@ impl DcApi for RemoteDc {
         }
     }
 
-    fn apply(&self, rec: &LogRecord) -> Result<()> {
-        match self.call(DcRequest::Apply { rec: rec.clone() })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("apply", other)),
+    fn apply(&self, mut op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
+        // The token travels with the apply, which frees the parked guard
+        // server-side whatever the apply's outcome; an op staged locally
+        // (token 0) keeps its own hold until it drops after the exchange.
+        let token = op.take_token();
+        let out = match self.call(DcRequest::Apply { token: token.unwrap_or(0), rec: rec.clone() })
+        {
+            Ok(DcReply::Unit) => Ok(()),
+            Ok(other) => Err(Self::protocol("apply", other)),
+            Err(e) => Err(e),
+        };
+        if let (Err(_), Some(token)) = (&out, token) {
+            // A request lost in transit left its guard parked. Releasing
+            // is idempotent, so free it whether or not the apply arrived
+            // (best-effort, as on drop).
+            let _ = self.client.call(&DcRequest::ReleaseOp { token });
         }
+        drop(op);
+        out
     }
 
     fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
@@ -379,7 +421,8 @@ impl DcApi for RemoteDc {
     }
 
     fn eosl(&self, elsn: Lsn) {
-        self.call_unit(DcRequest::Eosl { elsn });
+        // No message: the next request carries the watermark.
+        self.client.eosl.fetch_max(elsn.0, Ordering::AcqRel);
     }
 
     fn rssp(&self, rssp_lsn: Lsn) -> Result<()> {
@@ -603,8 +646,7 @@ mod tests {
             value,
         };
         let lsn = dc.wal().append(&payload);
-        dc.apply(&LogRecord { lsn, payload }).unwrap();
-        drop(op);
+        dc.apply(op, &LogRecord { lsn, payload }).unwrap();
     }
 
     #[test]
@@ -653,6 +695,75 @@ mod tests {
         let op = remote.prepare_op(T, 2, WriteIntent::Insert { value_len: 8 }).unwrap();
         drop(op);
         assert_eq!(remote.read(T, 1).unwrap().unwrap(), vec![1; 8]);
+    }
+
+    #[test]
+    fn unguarded_apply_crosses_the_wire() {
+        // A single-threaded prepare_write caller hands apply an unguarded
+        // op: it travels as token 0 and applies without a parked guard.
+        let (remote, transport) = deployment();
+        let info = remote.prepare_write(T, 3, WriteIntent::Insert { value_len: 4 }).unwrap();
+        let payload = LogPayload::Insert {
+            txn: TxnId(1),
+            table: T,
+            key: 3,
+            pid: info.pid,
+            prev_lsn: Lsn::NULL,
+            value: vec![3; 4],
+        };
+        let lsn = remote.wal().append(&payload);
+        remote.apply(PreparedOp::unguarded(info.pid), &LogRecord { lsn, payload }).unwrap();
+        assert_eq!(remote.read(T, 3).unwrap().unwrap(), vec![3; 4]);
+        assert_eq!(transport.server().unwrap().held_guards(), 0);
+    }
+
+    /// Loopback that loses the next `Apply` request in transit.
+    struct LosesNextApply {
+        inner: LoopbackTransport,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Transport for LosesNextApply {
+        fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
+            let (_, body) = open_envelope(unframe(request).unwrap()).unwrap();
+            let is_apply = matches!(DcRequest::decode(body), Ok(DcRequest::Apply { .. }));
+            if is_apply && self.armed.swap(false, Ordering::SeqCst) {
+                return Err(Error::Io(std::io::ErrorKind::ConnectionReset.into()));
+            }
+            self.inner.call(request)
+        }
+
+        fn server(&self) -> Option<Arc<DcServer>> {
+            self.inner.server()
+        }
+    }
+
+    #[test]
+    fn apply_lost_in_transit_still_frees_its_parked_guard() {
+        let (local, _) = deployment();
+        let server = Arc::new(DcServer::new(local.local.clone()));
+        let transport = Arc::new(LosesNextApply {
+            inner: LoopbackTransport::new(server.clone()),
+            armed: std::sync::atomic::AtomicBool::new(true),
+        });
+        let remote = RemoteDc::new(transport, local.local.clone(), "remote:lossy");
+        let op = remote.prepare_op(T, 4, WriteIntent::Insert { value_len: 4 }).unwrap();
+        let payload = LogPayload::Insert {
+            txn: TxnId(1),
+            table: T,
+            key: 4,
+            pid: op.pid,
+            prev_lsn: Lsn::NULL,
+            value: vec![4; 4],
+        };
+        let lsn = remote.wal().append(&payload);
+        let rec = LogRecord { lsn, payload };
+        assert!(matches!(remote.apply(op, &rec), Err(Error::Io(_))));
+        // The failed exchange released the guard the lost request would
+        // have freed, so the key is free for the retry.
+        assert_eq!(server.held_guards(), 0);
+        insert(&remote, 4, vec![5; 4]);
+        assert_eq!(remote.read(T, 4).unwrap().unwrap(), vec![5; 4]);
     }
 
     #[test]

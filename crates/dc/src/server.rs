@@ -11,19 +11,30 @@
 //! The local [`DcApi::prepare_op`] / [`DcApi::lock_table_exclusive`] return
 //! borrow-carrying guards that cannot cross a message boundary. The server
 //! parks them: each prepare gets a token, the guard lives in a token map
-//! (keeping its latches held, exactly as if the caller's stack held it),
-//! and the client releases it with `ReleaseOp { token }` once it has
-//! logged and applied. Releases are idempotent, and a transport that drops
-//! its connection calls [`DcServer::release_all`] so a vanished client can
-//! never wedge the DC (the same duty a TCP accept loop performs on
-//! connection teardown).
+//! (keeping its latches held, exactly as if the caller's stack held it).
+//! The client's `Apply { token, rec }` removes the parked guard, applies
+//! under it and drops it — one exchange both applies and releases, and
+//! the release is still journaled as a `token_release` trace event. An
+//! `Apply` whose token is stale or unknown fails with
+//! [`Error::UnknownToken`] and touches nothing. `ReleaseOp { token }` is
+//! left for prepared ops the client abandons unapplied. Releases are
+//! idempotent, and a transport that drops its connection calls
+//! [`DcServer::release_all`] so a vanished client can never wedge the DC
+//! (the same duty a TCP accept loop performs on connection teardown).
+//!
+//! ## EOSL rides on every request
+//!
+//! There is no EOSL message. Each request frame carries the client's EOSL
+//! watermark ([`DcRequest::decode_with_eosl`]), and [`DcServer::serve_frame`]
+//! publishes it to the backend *before* dispatching the request, so any
+//! flush that request triggers already sees the TC's latest stable LSN.
 
 use crate::api::{DcApi, PreparedOp, TableGuard};
 use crate::recovery::SmoBarrierOutcome;
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
 use crate::wire::{DcReply, DcRequest, WireError};
 use lr_common::codec::{frame, unframe};
-use lr_common::{Error, Result};
+use lr_common::{Error, Lsn, PageId, Result};
 use lr_obs::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -35,8 +46,8 @@ use std::time::Instant;
 /// alive. Field order is drop order: the guard must die before the owner
 /// it borrows from.
 struct HeldOp {
-    _guard: PreparedOp<'static>,
-    _owner: Arc<dyn DcApi>,
+    op: PreparedOp<'static>,
+    owner: Arc<dyn DcApi>,
 }
 
 /// A parked exclusive table latch (same ownership discipline).
@@ -156,10 +167,15 @@ impl DcServer {
             .and_then(|(id, body)| {
                 req_id = id;
                 req_len = body.len();
-                DcRequest::decode(body).map_err(|e| format!("wire: {e}"))
+                DcRequest::decode_with_eosl(body).map_err(|e| format!("wire: {e}"))
             });
         let reply = match parsed {
-            Ok(req) => {
+            Ok((req, eosl)) => {
+                // Publish the piggybacked EOSL before the request can
+                // trigger a flush (monotone: a stale value is a no-op).
+                if eosl > Lsn::NULL {
+                    self.inner.eosl(eosl);
+                }
                 tag = req.tag();
                 if let Some(t) = self.trace() {
                     t.emit(EventKind::WireRequest {
@@ -196,15 +212,18 @@ impl DcServer {
         }
     }
 
-    fn park_op(&self, op: PreparedOp<'_>) -> (u64, lr_common::PageId, Option<lr_common::Value>) {
+    fn park_op(&self, mut op: PreparedOp<'_>) -> (u64, PageId, Option<lr_common::Value>) {
         let pid = op.pid;
-        let before = op.before.clone();
+        // The before-image travels to the client; the parked op keeps
+        // only its latches.
+        let before = op.before.take();
         // SAFETY: the guard borrows from `self.inner`'s referent, which the
-        // HeldOp's `_owner` Arc keeps alive for at least as long as the
-        // guard; field order drops the guard first.
+        // HeldOp's `owner` Arc keeps alive for at least as long as the
+        // guard; field order drops the guard first, and the apply path
+        // drops `owner` only after consuming the guard.
         let guard: PreparedOp<'static> = unsafe { std::mem::transmute(op) };
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.held_ops.lock().insert(token, HeldOp { _guard: guard, _owner: self.inner.clone() });
+        self.held_ops.lock().insert(token, HeldOp { op: guard, owner: self.inner.clone() });
         (token, pid, before)
     }
 
@@ -244,16 +263,26 @@ impl DcServer {
             DcRequest::PrepareWrite { table, key, intent } => {
                 DcReply::info(dc.prepare_write(table, key, intent.into())?)
             }
-            DcRequest::Apply { rec } => {
-                dc.apply(&rec)?;
+            DcRequest::Apply { token: 0, rec } => {
+                let pid = rec.payload.data_pid().unwrap_or(PageId(0));
+                dc.apply(PreparedOp::unguarded(pid), &rec)?;
+                DcReply::Unit
+            }
+            DcRequest::Apply { token, rec } => {
+                // Claim the parked guard first: a stale or unknown token is
+                // an error, never an apply without the prepare's latches.
+                let held = self.held_ops.lock().remove(&token);
+                let HeldOp { op, owner } = held.ok_or(Error::UnknownToken(token))?;
+                let applied = dc.apply(op, &rec);
+                drop(owner); // only after the guard borrowing from it is gone
+                if let Some(t) = self.trace() {
+                    t.emit(EventKind::TokenRelease { token });
+                }
+                applied?;
                 DcReply::Unit
             }
             DcRequest::ApplyAt { pid, rec } => {
                 dc.apply_at(pid, &rec)?;
-                DcReply::Unit
-            }
-            DcRequest::Eosl { elsn } => {
-                dc.eosl(elsn);
                 DcReply::Unit
             }
             DcRequest::Rssp { rssp_lsn } => {
@@ -394,6 +423,15 @@ mod tests {
     }
 
     /// One framed exchange with request id 7, asserting the id echoes.
+    impl DcServer {
+        fn read_back(&self, key: u64) -> Option<Vec<u8>> {
+            match self.serve(DcRequest::Read { table: T, key }) {
+                DcReply::Value(v) => v,
+                other => panic!("expected a value, got {other:?}"),
+            }
+        }
+    }
+
     fn call_frame(srv: &DcServer, req: &DcRequest) -> DcReply {
         let framed = srv.serve_frame(&frame(&envelope(7, &req.encode())));
         let (id, body) = open_envelope(unframe(&framed).unwrap()).unwrap();
@@ -404,7 +442,8 @@ mod tests {
     #[test]
     fn framed_write_protocol_end_to_end() {
         let srv = server();
-        // prepare → log → apply → release, all through frames.
+        // prepare → log → apply, all through frames; the apply frees the
+        // parked guard, so no release message is needed.
         let req =
             DcRequest::PrepareOp { table: T, key: 7, intent: WireIntent::Insert { value_len: 3 } };
         let (token, pid) = match call_frame(&srv, &req) {
@@ -425,15 +464,109 @@ mod tests {
             value: vec![1, 2, 3],
         };
         let lsn = srv.backend().wal().append(&payload);
-        let apply = DcRequest::Apply { rec: LogRecord { lsn, payload } };
+        let apply = DcRequest::Apply { token, rec: LogRecord { lsn, payload } };
         assert_eq!(call_frame(&srv, &apply), DcReply::Unit);
-        srv.serve(DcRequest::ReleaseOp { token });
         assert_eq!(srv.held_guards(), 0);
 
         match srv.serve(DcRequest::Read { table: T, key: 7 }) {
             DcReply::Value(Some(v)) => assert_eq!(v, vec![1, 2, 3]),
             other => panic!("expected the inserted value, got {other:?}"),
         }
+    }
+
+    fn insert_rec(srv: &DcServer, key: u64, pid: PageId) -> LogRecord {
+        let payload = LogPayload::Insert {
+            txn: TxnId(1),
+            table: T,
+            key,
+            pid,
+            prev_lsn: Lsn::NULL,
+            value: vec![1],
+        };
+        LogRecord { lsn: srv.backend().wal().append(&payload), payload }
+    }
+
+    #[test]
+    fn apply_with_a_stale_or_unknown_token_is_a_typed_error() {
+        let srv = server();
+        let prepare = |key| match srv.serve(DcRequest::PrepareOp {
+            table: T,
+            key,
+            intent: WireIntent::Insert { value_len: 1 },
+        }) {
+            DcReply::Prepared { token, pid, .. } => (token, pid),
+            other => panic!("expected Prepared, got {other:?}"),
+        };
+        // Never issued.
+        let rec = insert_rec(&srv, 1, PageId(1));
+        let rep = srv.serve(DcRequest::Apply { token: 999, rec });
+        assert_eq!(rep, DcReply::Err(WireError::UnknownToken(999)));
+        assert_eq!(srv.read_back(1), None, "a rejected apply must not write");
+
+        // Stale: the token was already consumed by its own apply.
+        let (token, pid) = prepare(2);
+        let rec = insert_rec(&srv, 2, pid);
+        assert_eq!(srv.serve(DcRequest::Apply { token, rec: rec.clone() }), DcReply::Unit);
+        let rep = srv.serve(DcRequest::Apply { token, rec });
+        assert_eq!(rep, DcReply::Err(WireError::UnknownToken(token)));
+
+        // Stale: the token was released unapplied.
+        let (token, pid) = prepare(3);
+        srv.serve(DcRequest::ReleaseOp { token });
+        let rep = srv.serve(DcRequest::Apply { token, rec: insert_rec(&srv, 3, pid) });
+        assert_eq!(rep, DcReply::Err(WireError::UnknownToken(token)));
+        assert_eq!(srv.read_back(3), None);
+
+        // No guard leaked along the way: the table is still writable.
+        assert_eq!(srv.held_guards(), 0);
+        let (token, pid) = prepare(4);
+        assert_eq!(
+            srv.serve(DcRequest::Apply { token, rec: insert_rec(&srv, 4, pid) }),
+            DcReply::Unit
+        );
+        assert_eq!(srv.held_guards(), 0);
+    }
+
+    fn send_with_eosl(srv: &DcServer, req: DcRequest, eosl: Lsn) {
+        srv.serve_frame(&frame(&envelope(1, &req.encode_with_eosl(eosl))));
+    }
+
+    #[test]
+    fn every_request_publishes_its_piggybacked_eosl_monotonically() {
+        let srv = server();
+        let elsn = || srv.backend().pool().current_elsn();
+        send_with_eosl(&srv, DcRequest::Tables, Lsn(40));
+        assert_eq!(elsn(), Lsn(40));
+        // An older watermark (or none) never lowers it.
+        send_with_eosl(&srv, DcRequest::Tables, Lsn(10));
+        send_with_eosl(&srv, DcRequest::Tables, Lsn::NULL);
+        assert_eq!(elsn(), Lsn(40));
+    }
+
+    #[test]
+    fn piggybacked_eosl_is_published_before_dispatch() {
+        // A checkpoint flush inside the very request that carries the
+        // watermark finds the write-ahead gate already open, so the pool
+        // never has to demand an EOSL advance.
+        let srv = server();
+        let (token, pid) = match srv.serve(DcRequest::PrepareOp {
+            table: T,
+            key: 5,
+            intent: WireIntent::Insert { value_len: 1 },
+        }) {
+            DcReply::Prepared { token, pid, .. } => (token, pid),
+            other => panic!("expected Prepared, got {other:?}"),
+        };
+        let rec = insert_rec(&srv, 5, pid);
+        let stable = srv.backend().wal().force_all();
+        let pool = srv.backend().pool();
+        assert!(stable >= rec.lsn && rec.lsn > pool.current_elsn(), "page ahead of the gate");
+        assert_eq!(srv.serve(DcRequest::Apply { token, rec }), DcReply::Unit);
+        let demands = pool.stats().eosl_demands;
+        send_with_eosl(&srv, DcRequest::Rssp { rssp_lsn: stable }, stable);
+        assert_eq!(pool.current_elsn(), stable);
+        assert_eq!(pool.dirty_count(), 0, "rssp flushed the page");
+        assert_eq!(pool.stats().eosl_demands, demands, "the flush needed no EOSL demand");
     }
 
     #[test]

@@ -8,12 +8,21 @@
 //! A naive transport — one `TcpStream` behind a mutex — deadlocks: caller
 //! A's dispatch can block server-side (e.g. waiting on a latch a parked
 //! guard holds) while caller B, queued on the transport mutex behind A's
-//! in-flight exchange, is the very caller whose `ReleaseOp` would unblock
-//! A. Each exchange therefore checks a stream out of the pool (dialing a
+//! in-flight exchange, is the very caller whose `Apply` (or `ReleaseOp`)
+//! would free that guard and unblock A. Each exchange therefore checks a stream out of the pool (dialing a
 //! fresh one when the pool is empty), so blocked exchanges never gate
 //! other exchanges, and the server's thread-per-connection accept loop
 //! dispatches them concurrently — exactly the shape a production front
 //! end has.
+//!
+//! ## Syscalls per exchange
+//!
+//! Frames already leave as one buffer (header, CRC and body together), so
+//! each side writes a message with one `write`. Each side also reads
+//! through a per-stream [`BufReader`], so one `read` normally returns a
+//! whole frame. Together with the apply-consumes-token and piggybacked-EOSL
+//! protocol (see [`crate::remote`]), a 2-update transaction crosses this
+//! socket in six exchanges of two syscalls per side.
 //!
 //! ## Client-death semantics
 //!
@@ -33,7 +42,7 @@ use lr_common::codec::read_raw_frame_from;
 use lr_common::{Error, Result};
 use lr_obs::TraceSink;
 use parking_lot::Mutex;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,9 +133,12 @@ impl Drop for TcpDcServer {
 }
 
 /// One connection's serve loop: frames in, replies out, until the peer
-/// closes or the stream turns unreadable.
-fn serve_conn(server: &DcServer, mut stream: TcpStream) {
+/// closes or the stream turns unreadable. Requests are read through a
+/// [`BufReader`] (one `read` normally yields a whole frame) and each reply
+/// leaves as one framed buffer (one `write`).
+fn serve_conn(server: &DcServer, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    let mut stream = BufReader::new(stream);
     loop {
         let frame = match read_raw_frame_from(&mut stream) {
             Ok(Some(f)) => f,
@@ -136,17 +148,20 @@ fn serve_conn(server: &DcServer, mut stream: TcpStream) {
             Ok(None) | Err(_) => return,
         };
         let reply = server.serve_frame(&frame);
-        if stream.write_all(&reply).is_err() {
+        if stream.get_mut().write_all(&reply).is_err() {
             return;
         }
     }
 }
 
 /// [`Transport`] over loopback TCP: a pool of streams to a
-/// [`TcpDcServer`], one checked out per in-flight exchange.
+/// [`TcpDcServer`], one checked out per in-flight exchange. Each pooled
+/// stream keeps its own [`BufReader`], so a reply costs one `read` and
+/// buffered bytes never leak between exchanges (a stream is only pooled
+/// after its reply has been read in full).
 pub struct TcpTransport {
     addr: SocketAddr,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<BufReader<TcpStream>>>,
     connected: AtomicBool,
     /// Keeps a co-located server deployment alive for the transport's
     /// lifetime (and reachable for `set_trace`); `None` when dialing an
@@ -178,10 +193,10 @@ impl TcpTransport {
         })
     }
 
-    fn dial(addr: SocketAddr) -> Result<TcpStream> {
+    fn dial(addr: SocketAddr) -> Result<BufReader<TcpStream>> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
     /// Sever the connection: close every pooled stream and fail all
@@ -204,7 +219,7 @@ impl TcpTransport {
         self.deployment.as_ref()
     }
 
-    fn checkout(&self) -> Result<TcpStream> {
+    fn checkout(&self) -> Result<BufReader<TcpStream>> {
         if !self.is_connected() {
             return Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
@@ -217,7 +232,7 @@ impl TcpTransport {
         Self::dial(self.addr)
     }
 
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, stream: BufReader<TcpStream>) {
         if !self.is_connected() {
             return;
         }
@@ -231,7 +246,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
         let mut stream = self.checkout()?;
-        stream.write_all(request)?;
+        stream.get_mut().write_all(request)?;
         let reply = read_raw_frame_from(&mut stream)?.ok_or_else(|| {
             Error::Io(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
@@ -243,6 +258,10 @@ impl Transport for TcpTransport {
         // pool.
         self.checkin(stream);
         Ok(reply)
+    }
+
+    fn server(&self) -> Option<Arc<DcServer>> {
+        self.deployment.as_ref().map(|dep| dep.server().clone())
     }
 
     fn set_trace(&self, sink: TraceSink) {

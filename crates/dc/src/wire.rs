@@ -16,13 +16,26 @@
 //! * [`crate::DcApi::prepare_op`] returns a [`crate::PreparedOp`] whose
 //!   guard pins latches until apply. Over the wire the *server* parks that
 //!   guard in a token map and replies
-//!   [`DcReply::Prepared`]`{token, pid, before}`; the client's proxy guard
-//!   sends [`DcRequest::ReleaseOp`]`{token}` when dropped.
+//!   [`DcReply::Prepared`]`{token, pid, before}`. The client's
+//!   [`DcRequest::Apply`]`{token, rec}` applies under the parked guard and
+//!   frees it in the same exchange; only a prepared op dropped without
+//!   being applied sends [`DcRequest::ReleaseOp`]`{token}`.
 //! * [`crate::DcApi::lock_table_exclusive`] likewise becomes
 //!   [`DcReply::TableLocked`]`{token}` + [`DcRequest::ReleaseTable`].
 //!
 //! Both releases are idempotent (releasing an unknown token is a no-op), so
-//! a client retrying over a flaky transport can never wedge the server.
+//! a client retrying over a flaky transport can never wedge the server. An
+//! `Apply` naming an unknown token is an error instead
+//! ([`WireError::UnknownToken`]): applying without the latches the prepare
+//! took would be unsound.
+//!
+//! One trait method has no message of its own: [`crate::DcApi::eosl`].
+//! Every request carries the client's EOSL watermark in its last 8 bytes
+//! (see [`DcRequest::encode_with_eosl`]), and the server publishes it to
+//! the backend before dispatching the request. EOSL is monotone and only
+//! gates flushing, and every flush the DC performs (eviction, cleaner pass,
+//! RSSP) runs inside some request — which already carries the latest
+//! watermark. So the write-ahead gate holds without an EOSL round trip.
 
 use crate::api::{Located, PreloadStats, TableSummary};
 use crate::dc::{DcStats, PrepareInfo, WriteIntent};
@@ -62,7 +75,8 @@ pub enum DcRequest {
         key: Key,
         intent: WireIntent,
     },
-    /// Drop the server-held guard of a parked [`DcReply::Prepared`].
+    /// Drop the server-held guard of a parked [`DcReply::Prepared`]
+    /// that will never be applied.
     ReleaseOp {
         token: u64,
     },
@@ -71,15 +85,16 @@ pub enum DcRequest {
         key: Key,
         intent: WireIntent,
     },
+    /// Apply `rec` under the guard parked as `token`, then drop that
+    /// guard. Token 0 names no guard: an unguarded apply, for callers that
+    /// staged through `PrepareWrite`.
     Apply {
+        token: u64,
         rec: LogRecord,
     },
     ApplyAt {
         pid: PageId,
         rec: LogRecord,
-    },
-    Eosl {
-        elsn: Lsn,
     },
     Rssp {
         rssp_lsn: Lsn,
@@ -215,8 +230,9 @@ pub enum DcReply {
     Unit,
     Value(Option<Value>),
     Rows(Vec<(Key, Value)>),
-    /// A prepared write parked server-side: release with
-    /// [`DcRequest::ReleaseOp`]`{token}` once logged and applied.
+    /// A prepared write parked server-side: apply with
+    /// [`DcRequest::Apply`]`{token, ..}` once logged (which frees it), or
+    /// release with [`DcRequest::ReleaseOp`]`{token}` to abandon it.
     Prepared {
         token: u64,
         pid: PageId,
@@ -301,6 +317,7 @@ pub enum WireError {
     TreeCorrupt(String),
     RecoveryInvariant(String),
     ServerBusy { active: u64, cap: u64 },
+    UnknownToken(u64),
     Io(String),
 }
 
@@ -339,6 +356,7 @@ impl From<&Error> for WireError {
             Error::ServerBusy { active, cap } => {
                 WireError::ServerBusy { active: *active, cap: *cap }
             }
+            Error::UnknownToken(t) => WireError::UnknownToken(*t),
             Error::Io(e) => WireError::Io(e.to_string()),
         }
     }
@@ -365,6 +383,7 @@ impl From<WireError> for Error {
             WireError::TreeCorrupt(m) => Error::TreeCorrupt(m),
             WireError::RecoveryInvariant(m) => Error::RecoveryInvariant(m),
             WireError::ServerBusy { active, cap } => Error::ServerBusy { active, cap },
+            WireError::UnknownToken(t) => Error::UnknownToken(t),
             WireError::Io(m) => Error::Io(std::io::Error::other(m)),
         }
     }
@@ -650,6 +669,10 @@ pub fn put_error(e: &mut Encoder, w: &WireError) {
             e.put_u64(*active);
             e.put_u64(*cap);
         }
+        WireError::UnknownToken(t) => {
+            e.put_u8(16);
+            e.put_u64(*t);
+        }
     }
 }
 
@@ -673,6 +696,7 @@ pub fn get_error(d: &mut Decoder<'_>) -> Result<WireError, CodecError> {
         13 => WireError::RecoveryInvariant(get_string(d)?),
         14 => WireError::Io(get_string(d)?),
         15 => WireError::ServerBusy { active: d.get_u64()?, cap: d.get_u64()? },
+        16 => WireError::UnknownToken(d.get_u64()?),
         t => return Err(CodecError::BadTag { context: "wire error", tag: t }),
     })
 }
@@ -689,7 +713,7 @@ const REQ_RELEASE_OP: u8 = 5;
 const REQ_PREPARE_WRITE: u8 = 6;
 const REQ_APPLY: u8 = 7;
 const REQ_APPLY_AT: u8 = 8;
-const REQ_EOSL: u8 = 9;
+const REQ_OVER_GARBAGE: u8 = 9;
 const REQ_RSSP: u8 = 10;
 const REQ_DRAIN: u8 = 11;
 const REQ_CRASH: u8 = 12;
@@ -717,10 +741,9 @@ const REQ_FINISH_REDO: u8 = 33;
 const REQ_STATS: u8 = 34;
 const REQ_INTROSPECT: u8 = 35;
 const REQ_COMPACT_PASS: u8 = 36;
-const REQ_OVER_GARBAGE: u8 = 37;
 
 /// The highest assigned request tag — sizes per-op telemetry tables.
-pub const MAX_REQ_TAG: u8 = REQ_OVER_GARBAGE;
+pub const MAX_REQ_TAG: u8 = REQ_COMPACT_PASS;
 
 /// Human-readable name of a request tag, for telemetry rows and trace
 /// events. Unknown tags render as `"unknown"`.
@@ -734,7 +757,6 @@ pub fn op_name(tag: u8) -> &'static str {
         REQ_PREPARE_WRITE => "prepare_write",
         REQ_APPLY => "apply",
         REQ_APPLY_AT => "apply_at",
-        REQ_EOSL => "eosl",
         REQ_RSSP => "rssp",
         REQ_DRAIN => "drain_in_flight_ops",
         REQ_CRASH => "crash",
@@ -768,9 +790,17 @@ pub fn op_name(tag: u8) -> &'static str {
 }
 
 impl DcRequest {
-    /// Serialize (tag + fields, no frame — callers wrap with
-    /// [`lr_common::codec::frame`]).
+    /// Serialize with no EOSL news ([`Lsn::NULL`], which the server's
+    /// monotone publish ignores); see [`DcRequest::encode_with_eosl`].
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_with_eosl(Lsn::NULL)
+    }
+
+    /// Serialize as `[tag][fields][eosl u64]` (no frame — callers wrap
+    /// with [`lr_common::codec::frame`]). The trailing 8 bytes are the
+    /// client's EOSL watermark, piggybacked on every request instead of
+    /// travelling as a message of its own.
+    pub fn encode_with_eosl(&self, eosl: Lsn) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64);
         match self {
             DcRequest::Read { table, key } => {
@@ -804,18 +834,15 @@ impl DcRequest {
                 e.put_key(*key);
                 put_intent(&mut e, *intent);
             }
-            DcRequest::Apply { rec } => {
+            DcRequest::Apply { token, rec } => {
                 e.put_u8(REQ_APPLY);
+                e.put_u64(*token);
                 put_record(&mut e, rec);
             }
             DcRequest::ApplyAt { pid, rec } => {
                 e.put_u8(REQ_APPLY_AT);
                 e.put_pid(*pid);
                 put_record(&mut e, rec);
-            }
-            DcRequest::Eosl { elsn } => {
-                e.put_u8(REQ_EOSL);
-                e.put_lsn(*elsn);
             }
             DcRequest::Rssp { rssp_lsn } => {
                 e.put_u8(REQ_RSSP);
@@ -892,6 +919,7 @@ impl DcRequest {
             DcRequest::Stats => e.put_u8(REQ_STATS),
             DcRequest::Introspect => e.put_u8(REQ_INTROSPECT),
         }
+        e.put_lsn(eosl);
         e.finish()
     }
 
@@ -906,7 +934,6 @@ impl DcRequest {
             DcRequest::PrepareWrite { .. } => REQ_PREPARE_WRITE,
             DcRequest::Apply { .. } => REQ_APPLY,
             DcRequest::ApplyAt { .. } => REQ_APPLY_AT,
-            DcRequest::Eosl { .. } => REQ_EOSL,
             DcRequest::Rssp { .. } => REQ_RSSP,
             DcRequest::DrainInFlightOps => REQ_DRAIN,
             DcRequest::Crash => REQ_CRASH,
@@ -938,7 +965,14 @@ impl DcRequest {
         }
     }
 
+    /// Decode a request, discarding its EOSL watermark.
     pub fn decode(bytes: &[u8]) -> Result<DcRequest, CodecError> {
+        DcRequest::decode_with_eosl(bytes).map(|(req, _)| req)
+    }
+
+    /// Decode a request and the EOSL watermark it carries (the inverse of
+    /// [`DcRequest::encode_with_eosl`]).
+    pub fn decode_with_eosl(bytes: &[u8]) -> Result<(DcRequest, Lsn), CodecError> {
         let mut d = Decoder::new(bytes);
         let req = match d.get_u8()? {
             REQ_READ => DcRequest::Read { table: d.get_table()?, key: d.get_key()? },
@@ -957,9 +991,8 @@ impl DcRequest {
                 key: d.get_key()?,
                 intent: get_intent(&mut d)?,
             },
-            REQ_APPLY => DcRequest::Apply { rec: get_record(&mut d)? },
+            REQ_APPLY => DcRequest::Apply { token: d.get_u64()?, rec: get_record(&mut d)? },
             REQ_APPLY_AT => DcRequest::ApplyAt { pid: d.get_pid()?, rec: get_record(&mut d)? },
-            REQ_EOSL => DcRequest::Eosl { elsn: d.get_lsn()? },
             REQ_RSSP => DcRequest::Rssp { rssp_lsn: d.get_lsn()? },
             REQ_DRAIN => DcRequest::DrainInFlightOps,
             REQ_CRASH => DcRequest::Crash,
@@ -1000,8 +1033,9 @@ impl DcRequest {
             REQ_INTROSPECT => DcRequest::Introspect,
             t => return Err(CodecError::BadTag { context: "dc request", tag: t }),
         };
+        let eosl = d.get_lsn()?;
         d.expect_done()?;
-        Ok(req)
+        Ok((req, eosl))
     }
 }
 
@@ -1185,6 +1219,8 @@ mod tests {
     fn roundtrip_req(req: DcRequest) {
         let bytes = req.encode();
         assert_eq!(DcRequest::decode(&bytes).unwrap(), req);
+        let bytes = req.encode_with_eosl(Lsn(4242));
+        assert_eq!(DcRequest::decode_with_eosl(&bytes).unwrap(), (req, Lsn(4242)));
     }
 
     fn roundtrip_rep(rep: DcReply) {
@@ -1224,9 +1260,8 @@ mod tests {
                 key: 5,
                 intent: WireIntent::Update { value_len: 8 },
             },
-            DcRequest::Apply { rec: rec.clone() },
+            DcRequest::Apply { token: 5, rec: rec.clone() },
             DcRequest::ApplyAt { pid: PageId(7), rec: rec.clone() },
-            DcRequest::Eosl { elsn: Lsn(500) },
             DcRequest::Rssp { rssp_lsn: Lsn(400) },
             DcRequest::DrainInFlightOps,
             DcRequest::Crash,
@@ -1343,6 +1378,7 @@ mod tests {
             Error::TreeCorrupt("bad link".into()),
             Error::RecoveryInvariant("oops".into()),
             Error::ServerBusy { active: 8, cap: 8 },
+            Error::UnknownToken(77),
             Error::Io(std::io::Error::other("disk gone")),
         ];
         for err in errors {

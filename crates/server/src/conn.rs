@@ -16,7 +16,7 @@
 
 use lr_common::codec::{frame, read_raw_frame_from, write_frame_to, FRAME_HEADER, MAX_FRAME_BODY};
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -51,15 +51,18 @@ pub trait Listener: Send + Sync {
 // TCP
 // ----------------------------------------------------------------------
 
-/// A TCP connection (either side of the protocol).
+/// A TCP connection (either side of the protocol). Reads go through a
+/// per-stream [`BufReader`], so one `read` syscall normally returns a
+/// frame's header and body together; writes go straight to the socket,
+/// one buffer per frame.
 pub struct TcpConn {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl TcpConn {
     pub fn new(stream: TcpStream) -> TcpConn {
         let _ = stream.set_nodelay(true);
-        TcpConn { stream }
+        TcpConn { stream: BufReader::new(stream) }
     }
 
     /// Dial a server.
@@ -70,7 +73,7 @@ impl TcpConn {
 
 impl Conn for TcpConn {
     fn send_frame(&mut self, body: &[u8]) -> io::Result<()> {
-        write_frame_to(&mut self.stream, body)
+        write_frame_to(self.stream.get_mut(), body)
     }
 
     fn recv_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
@@ -79,8 +82,8 @@ impl Conn for TcpConn {
 
     fn graceful_close(&mut self) {
         use io::Read;
-        let _ = self.stream.shutdown(std::net::Shutdown::Write);
-        let _ = self.stream.set_read_timeout(Some(std::time::Duration::from_millis(250)));
+        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Write);
+        let _ = self.stream.get_ref().set_read_timeout(Some(std::time::Duration::from_millis(250)));
         let mut sink = [0u8; 256];
         while matches!(self.stream.read(&mut sink), Ok(n) if n > 0) {}
     }

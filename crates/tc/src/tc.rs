@@ -24,6 +24,10 @@ pub struct TcStats {
     pub data_ops_logged: u64,
     pub clrs_logged: u64,
     pub checkpoints_completed: u64,
+    /// EOSL values the TC has *published* (one per commit), exported as
+    /// `tc_eosl_sent`. Not a message count: over a message boundary the
+    /// DC proxy folds each one into a watermark that rides on the next
+    /// request, so no EOSL message is ever sent on its own.
     pub eosl_sent: u64,
 }
 

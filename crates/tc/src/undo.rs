@@ -255,7 +255,7 @@ pub fn undo_losers_parallel(
 mod tests {
     use super::*;
     use lr_common::{IoModel, SimClock, TableId};
-    use lr_dc::{DataComponent, DcConfig, WriteIntent};
+    use lr_dc::{DataComponent, DcConfig, PreparedOp, WriteIntent};
     use lr_storage::SimDisk;
     use lr_wal::Wal;
 
@@ -274,7 +274,7 @@ mod tests {
     fn do_insert(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64) {
         let info = dc.prepare_write(T, key, WriteIntent::Insert { value_len: 8 }).unwrap();
         let rec = tc.log_insert(txn, T, key, info.pid, key.to_le_bytes().to_vec()).unwrap();
-        dc.apply(&rec).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &rec).unwrap();
     }
 
     fn do_update(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64, val: u64) {
@@ -282,13 +282,13 @@ mod tests {
         let rec = tc
             .log_update(txn, T, key, info.pid, info.before.unwrap(), val.to_le_bytes().to_vec())
             .unwrap();
-        dc.apply(&rec).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &rec).unwrap();
     }
 
     fn do_delete(tc: &TransactionComponent, dc: &dyn DcApi, txn: TxnId, key: u64) {
         let info = dc.prepare_write(T, key, WriteIntent::Delete).unwrap();
         let rec = tc.log_delete(txn, T, key, info.pid, info.before.unwrap()).unwrap();
-        dc.apply(&rec).unwrap();
+        dc.apply(PreparedOp::unguarded(info.pid), &rec).unwrap();
     }
 
     #[test]

@@ -462,7 +462,7 @@ fn remote_transport_drop_mid_prepare_is_a_clean_error_not_a_wedged_token() {
             value: vec![key as u8; 8],
         };
         let lsn = remote.wal().append(&payload);
-        remote.apply(&LogRecord { lsn, payload })
+        remote.apply(op, &LogRecord { lsn, payload })
     };
     insert(1).unwrap();
 
