@@ -203,10 +203,15 @@ impl Encoder {
         self.put_u64(v);
     }
 
+    /// Raw bytes, no length prefix.
+    pub(crate) fn put_raw(&mut self, v: &[u8]) {
+        self.buf.put_slice(v);
+    }
+
     /// Length-prefixed byte string (u32 length).
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.put_raw(v);
     }
 
     /// Length-prefixed PID array (u32 count).
@@ -297,12 +302,17 @@ impl<'a> Decoder<'a> {
         self.get_u64()
     }
 
+    /// The next `n` raw bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.ensure(n)?;
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let len = self.get_u32()? as usize;
-        self.ensure(len)?;
-        let mut out = vec![0u8; len];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+        Ok(self.take(len)?.to_vec())
     }
 
     pub fn get_pid_vec(&mut self) -> Result<Vec<PageId>, CodecError> {
@@ -332,6 +342,224 @@ impl<'a> Decoder<'a> {
             Err(CodecError::Truncated { wanted: 0, remaining: self.remaining() })
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// the field codec (message fields on both wires)
+// ----------------------------------------------------------------------
+
+/// Largest element count a decoder preallocates for from an unchecked
+/// length prefix; longer sequences grow as their elements actually decode.
+const MAX_PREALLOC: usize = 4096;
+
+/// A type with one wire encoding, shared by every message that carries it.
+///
+/// Sequences are a u32 count followed by the elements; `Option` is a 0/1
+/// tag (any other tag is [`CodecError::BadTag`]) followed by the value;
+/// strings and byte vectors are u32-length-prefixed. Both wire protocols
+/// declare their messages over this trait, so a field decodes by the same
+/// rules wherever it appears.
+pub trait Field: Sized {
+    fn put(&self, e: &mut Encoder);
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError>;
+
+    /// Encode the elements of a sequence (its count is already written).
+    /// Bytes override this to copy in bulk.
+    fn put_all(items: &[Self], e: &mut Encoder) {
+        items.iter().for_each(|item| item.put(e));
+    }
+
+    /// Decode `n` sequence elements, preallocating for at most 4096 of
+    /// them (the count is unchecked input).
+    fn get_all(n: usize, d: &mut Decoder<'_>) -> Result<Vec<Self>, CodecError> {
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
+            out.push(Self::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Encode one [`Field`] as a complete message body.
+pub fn to_bytes<T: Field>(v: &T) -> Vec<u8> {
+    let mut e = Encoder::with_capacity(64);
+    v.put(&mut e);
+    e.finish()
+}
+
+/// Decode one [`Field`] that must span all of `bytes`.
+pub fn from_bytes<T: Field>(bytes: &[u8]) -> Result<T, CodecError> {
+    let mut d = Decoder::new(bytes);
+    let v = T::get(&mut d)?;
+    d.expect_done()?;
+    Ok(v)
+}
+
+macro_rules! scalar_fields {
+    ($($ty:ty => $put:ident, $get:ident;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, e: &mut Encoder) {
+                e.$put(*self);
+            }
+
+            fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                d.$get()
+            }
+        }
+    )*};
+}
+
+scalar_fields! {
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    Lsn => put_lsn, get_lsn;
+    PageId => put_pid, get_pid;
+    TableId => put_table, get_table;
+    TxnId => put_txn, get_txn;
+}
+
+impl Field for u8 {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(*self);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        d.get_u8()
+    }
+
+    fn put_all(items: &[u8], e: &mut Encoder) {
+        e.put_raw(items);
+    }
+
+    fn get_all(n: usize, d: &mut Decoder<'_>) -> Result<Vec<u8>, CodecError> {
+        Ok(d.take(n)?.to_vec())
+    }
+}
+
+/// The empty field: a message with nothing after its body.
+impl Field for () {
+    fn put(&self, _: &mut Encoder) {}
+
+    fn get(_: &mut Decoder<'_>) -> Result<(), CodecError> {
+        Ok(())
+    }
+}
+
+impl Field for bool {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(*self as u8);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<bool, CodecError> {
+        match d.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::BadTag { context: "bool", tag }),
+        }
+    }
+}
+
+/// UTF-8 text; invalid sequences decode lossily (text fields carry
+/// messages for humans, never keys).
+impl Field for String {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(self.as_bytes());
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<String, CodecError> {
+        Ok(String::from_utf8_lossy(&d.get_bytes()?).into_owned())
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, e: &mut Encoder) {
+        match self {
+            Some(v) => {
+                e.put_u8(1);
+                v.put(e);
+            }
+            None => e.put_u8(0),
+        }
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        match d.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            tag => Err(CodecError::BadTag { context: "option", tag }),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, e: &mut Encoder) {
+        e.put_u32(self.len() as u32);
+        T::put_all(self, e);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let n = d.get_u32()? as usize;
+        T::get_all(n, d)
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    fn put(&self, e: &mut Encoder) {
+        (**self).put(e);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Box::new(T::get(d)?))
+    }
+}
+
+macro_rules! tuple_fields {
+    ($(($($t:ident . $i:tt),*))*) => {$(
+        impl<$($t: Field),*> Field for ($($t,)*) {
+            fn put(&self, e: &mut Encoder) {
+                $( self.$i.put(e); )*
+            }
+
+            fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::get(d)?,)*))
+            }
+        }
+    )*};
+}
+
+tuple_fields! {
+    (A.0, B.1)
+    (A.0, B.1, C.2)
+}
+
+impl Field for crate::Histogram {
+    fn put(&self, e: &mut Encoder) {
+        self.encode_into(e);
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        crate::Histogram::decode_from(d)
+    }
+}
+
+/// Implement [`Field`] for a struct by encoding the listed fields in
+/// order — the struct's wire form is exactly its field list.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Field for $ty {
+            fn put(&self, e: &mut $crate::codec::Encoder) {
+                $( $crate::codec::Field::put(&self.$field, e); )*
+            }
+
+            fn get(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                Ok(Self { $( $field: $crate::codec::Field::get(d)?, )* })
+            }
+        }
+    };
 }
 
 #[cfg(test)]

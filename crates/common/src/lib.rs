@@ -4,7 +4,8 @@
 //! newtypes ([`Lsn`], [`PageId`], [`TableId`], [`TxnId`]), the error type,
 //! the simulated clock and disk-service model used to *time* recovery
 //! ([`clock::SimClock`], [`iomodel`]), counters ([`stats`]) and the binary
-//! codec helpers used by the write-ahead log ([`codec`]).
+//! codec helpers used by the write-ahead log and both wires ([`codec`]), and
+//! the RPC stack both wire boundaries run on ([`rpc`]).
 //!
 //! Everything in the workspace is deterministic: time only advances when the
 //! I/O model charges it, and randomness always flows from caller-provided
@@ -19,6 +20,7 @@ pub mod error;
 pub mod histogram;
 pub mod iomodel;
 pub mod latch;
+pub mod rpc;
 pub mod stats;
 pub mod types;
 

@@ -20,6 +20,7 @@
 /// - `fn merge_from(&mut self, other: &Self)`
 /// - `fn counters(&self) -> Vec<(&'static str, u64)>`
 /// - `fn histograms(&self) -> Vec<(&'static str, &Histogram)>`
+/// - a [`crate::codec::Field`] wire encoding (counters, then histograms)
 #[macro_export]
 macro_rules! counter_struct {
     (
@@ -78,6 +79,24 @@ macro_rules! counter_struct {
                     ::std::vec::Vec::new();
                 $( $( v.push((stringify!($hf), &self.$hf)); )* )?
                 v
+            }
+        }
+
+        /// Wire form: every counter, then every histogram, in
+        /// declaration order.
+        impl $crate::codec::Field for $name {
+            fn put(&self, e: &mut $crate::codec::Encoder) {
+                $( e.put_u64(self.$cf); )*
+                $( $( $crate::codec::Field::put(&self.$hf, e); )* )?
+            }
+
+            fn get(
+                d: &mut $crate::codec::Decoder<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                Ok($name {
+                    $( $cf: d.get_u64()?, )*
+                    $( $( $hf: $crate::codec::Field::get(d)?, )* )?
+                })
             }
         }
     };

@@ -65,21 +65,24 @@ pub struct EngineConfig {
     /// default; the `LR_WRITE_OPTIMISTIC=0` bench knob turns it off for
     /// A/B runs.
     pub optimistic_writes: bool,
-    /// Which registered data-component backend serves this engine
-    /// (`lr_dc::backend_names()`): `"btree"` — the default clustered
+    /// Which data-component backend serves this engine: a name of the
+    /// form `<store>`, `remote:<store>` or `tcp:<store>`, parsed by
+    /// `lr_dc::backend` (every valid name: `lr_dc::backend_names()`).
+    ///
+    /// The **store** places the data: `"btree"` — the default clustered
     /// B-tree DC — `"hash"`, the in-memory hash-index DC with
-    /// page-logical redo, `"log"`, the log-structured DC where the WAL
-    /// is the store (one append per write, background compaction), or a
-    /// `"remote:<inner>"` variant (`"remote:btree"`, `"remote:hash"`,
-    /// `"remote:log"`) that puts the inner backend behind the message
-    /// boundary — every `DcApi` call travels the wire codec through a
-    /// `lr_dc::DcServer` over a loopback transport — or a
-    /// `"tcp:<inner>"` variant (`"tcp:btree"`, `"tcp:hash"`,
-    /// `"tcp:log"`) that runs the same `DcServer` behind a real
-    /// loopback TCP socket (`lr_dc::TcpTransport`, thread-per-connection
-    /// server, pooled client streams). The TC↔DC contract
-    /// (`lr_dc::DcApi`) is the same either way; recovery equivalence
-    /// across backends is asserted by `tests/backend_equivalence.rs`.
+    /// page-logical redo, or `"log"`, the log-structured DC where the WAL
+    /// is the store (one append per write, background compaction).
+    ///
+    /// The **deployment** prefix says how the TC reaches it: none — in
+    /// process; `remote:` — behind the message boundary, every `DcApi`
+    /// call travelling the wire codec to a `lr_dc::DcServer` over the
+    /// inline loopback (dispatch on the caller's thread); `tcp:` — the
+    /// same `DcServer` behind a real loopback TCP socket
+    /// (thread-per-connection server, pooled client connections). The
+    /// TC↔DC contract (`lr_dc::DcApi`) is the same either way; recovery
+    /// equivalence across backends is asserted by
+    /// `tests/backend_equivalence.rs`.
     pub backend: String,
     /// Log-structured backend: garbage fraction of the cold log region
     /// above which the background compactor migrates live versions into

@@ -245,14 +245,14 @@ impl Engine {
         // configured DC (`EngineConfig::backend`); everything after this
         // point sees only the `DcApi` contract.
         let be = lr_dc::backend(&cfg.backend)?;
-        (be.format)(&mut *disk)?;
+        be.format(&mut *disk)?;
         let mut rows = (0..cfg.initial_rows).map(|k| (k, cfg.initial_value(k)));
-        let root = (be.bulk_load)(&mut *disk, DEFAULT_TABLE, &mut rows, cfg.fill_factor)?;
+        let root = be.bulk_load(&mut *disk, DEFAULT_TABLE, &mut rows, cfg.fill_factor)?;
 
         let wal = Wal::new_shared(cfg.log_page_size);
         wal.set_force_latency_us(cfg.commit_force_us);
         let dcfg = dc_config(&cfg);
-        let dc = (be.open)(disk, wal.clone(), dcfg)?;
+        let dc = be.open(disk, wal.clone(), dcfg)?;
         dc.register_table(DEFAULT_TABLE, root)?;
         let tc = TransactionComponent::new(wal.clone());
         let trace = plumb_trace(&cfg, dc.as_ref(), &wal);
@@ -288,7 +288,7 @@ impl Engine {
         let wal: SharedWal = SharedWal::new(wal);
         wal.set_force_latency_us(cfg.commit_force_us);
         let dcfg = dc_config(&cfg);
-        let dc = (lr_dc::backend(&cfg.backend)?.open)(disk, wal.clone(), dcfg)?;
+        let dc = lr_dc::backend(&cfg.backend)?.open(disk, wal.clone(), dcfg)?;
         let tc = TransactionComponent::new(wal.clone());
         let trace = plumb_trace(&cfg, dc.as_ref(), &wal);
         Ok(Engine {

@@ -187,7 +187,7 @@ pub struct TableSummary {
 
 /// Where a `(table, key)` pair resolves for redo / undo, with the
 /// simulated cost of finding out.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Located {
     /// The page the operation should be tested/applied at.
     pub pid: PageId,
@@ -201,7 +201,7 @@ pub struct Located {
 }
 
 /// What an index-preload pass did (Appendix A.1; Log2-family methods).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PreloadStats {
     /// Index pages now resident.
     pub pages_loaded: u64,

@@ -3,8 +3,15 @@
 //! The Deuteronomy split makes the DC pluggable: anything implementing
 //! [`crate::DcApi`] can sit behind the TC (§1.1 names replicas on
 //! "disparate physical system configurations"; LogBase-style log-structured
-//! stores are the same idea). Backends register here by name and the
-//! engine selects one through `EngineConfig::backend`.
+//! stores are the same idea). The engine selects one through
+//! `EngineConfig::backend`, a name of the form `<store>`,
+//! `remote:<store>` or `tcp:<store>`:
+//!
+//! * the **store** is the component that places data — `btree`
+//!   ([`DataComponent`]), `hash` ([`HashDc`]) or `log` ([`LogDc`]);
+//! * the **deployment** says how the TC reaches it ([`Deployment`]):
+//!   in process, behind the message boundary on the inline loopback, or
+//!   behind a real loopback TCP socket.
 
 use crate::api::DcApi;
 use crate::dc::{DataComponent, DcConfig};
@@ -19,24 +26,12 @@ use std::sync::Arc;
 pub const BTREE_BACKEND: &str = "btree";
 /// Name of the in-memory hash-index backend ([`HashDc`]).
 pub const HASH_BACKEND: &str = "hash";
-/// The B-tree backend behind the message boundary: a
-/// [`crate::remote::RemoteDc`] proxy speaking the wire protocol to a
-/// [`crate::server::DcServer`] over the loopback transport.
-pub const REMOTE_BTREE_BACKEND: &str = "remote:btree";
-/// The hash backend behind the message boundary.
-pub const REMOTE_HASH_BACKEND: &str = "remote:hash";
 /// Name of the log-structured backend ([`LogDc`]): the WAL is the store.
 pub const LOG_BACKEND: &str = "log";
-/// The log-structured backend behind the message boundary.
-pub const REMOTE_LOG_BACKEND: &str = "remote:log";
-/// The B-tree backend behind a *real socket*: a [`crate::tcp::TcpDcServer`]
-/// accepting on loopback TCP, dialed by a [`crate::tcp::TcpTransport`] —
-/// every operation crosses the kernel's network stack.
-pub const TCP_BTREE_BACKEND: &str = "tcp:btree";
-/// The hash backend behind a real socket.
-pub const TCP_HASH_BACKEND: &str = "tcp:hash";
-/// The log-structured backend behind a real socket.
-pub const TCP_LOG_BACKEND: &str = "tcp:log";
+/// The B-tree backend behind the message boundary: a
+/// [`crate::remote::RemoteDc`] proxy speaking the wire protocol to a
+/// [`crate::server::DcServer`] over the inline loopback.
+pub const REMOTE_BTREE_BACKEND: &str = "remote:btree";
 
 /// Offline initial-table loader: `(disk, table, rows, fill) → anchor`.
 pub type BulkLoadFn =
@@ -44,190 +39,179 @@ pub type BulkLoadFn =
 /// Component constructor over a formatted disk and the shared log.
 pub type OpenFn = fn(Box<dyn Disk>, SharedWal, DcConfig) -> Result<Arc<dyn DcApi>>;
 
-/// One registered backend: how to format a fresh disk, bulk-load the
-/// initial table, and open the component. All three are plain function
-/// pointers so the registry stays `'static` data.
-pub struct Backend {
-    /// Registry key (`EngineConfig::backend`).
-    pub name: &'static str,
-    /// Format a fresh disk (install the empty catalog on the meta page).
-    pub format: fn(&mut dyn Disk) -> Result<()>,
-    /// Build the initial table directly on the disk (offline load,
-    /// bypassing pool and log); returns the table's placement anchor.
-    pub bulk_load: BulkLoadFn,
-    /// Open the component over a formatted disk and the shared log.
-    pub open: OpenFn,
+/// One store: how to format a fresh disk, bulk-load the initial table,
+/// and open the component. Every store shares the disk format
+/// (`format_disk` installs the same empty catalog), so a formatted disk is
+/// store-portable until the first bulk load.
+struct Store {
+    /// The store's name in each [`Deployment`], in declaration order.
+    names: [&'static str; 3],
+    format: fn(&mut dyn Disk) -> Result<()>,
+    bulk_load: BulkLoadFn,
+    open: OpenFn,
 }
 
-fn open_btree(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    Ok(Arc::new(DataComponent::open(disk, wal, cfg)?))
+/// A store's row: its plain name, and that name behind each boundary.
+macro_rules! store {
+    ($name:expr, $bulk_load:expr, $open:expr) => {
+        Store {
+            names: [$name, concat!("remote:", $name), concat!("tcp:", $name)],
+            format: DataComponent::format_disk,
+            bulk_load: $bulk_load,
+            open: $open,
+        }
+    };
 }
 
-fn bulk_load_btree(
-    disk: &mut dyn Disk,
-    table: TableId,
-    rows: &mut dyn Iterator<Item = (Key, Value)>,
-    fill: f64,
-) -> Result<PageId> {
-    lr_btree::bulk_load(disk, table, rows, fill)
-}
-
-fn open_hash(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    Ok(Arc::new(HashDc::open(disk, wal, cfg)?))
-}
-
-fn open_remote_btree(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_btree(disk, wal, cfg)?;
-    Ok(crate::remote::remote_loopback(inner, REMOTE_BTREE_BACKEND).0)
-}
-
-fn open_remote_hash(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_hash(disk, wal, cfg)?;
-    Ok(crate::remote::remote_loopback(inner, REMOTE_HASH_BACKEND).0)
-}
-
-fn open_log(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    Ok(Arc::new(LogDc::open(disk, wal, cfg)?))
-}
-
-fn open_remote_log(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_log(disk, wal, cfg)?;
-    Ok(crate::remote::remote_loopback(inner, REMOTE_LOG_BACKEND).0)
-}
-
-fn open_tcp_btree(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_btree(disk, wal, cfg)?;
-    Ok(crate::tcp::tcp_deploy(inner, TCP_BTREE_BACKEND)?.0)
-}
-
-fn open_tcp_hash(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_hash(disk, wal, cfg)?;
-    Ok(crate::tcp::tcp_deploy(inner, TCP_HASH_BACKEND)?.0)
-}
-
-fn open_tcp_log(disk: Box<dyn Disk>, wal: SharedWal, cfg: DcConfig) -> Result<Arc<dyn DcApi>> {
-    let inner = open_log(disk, wal, cfg)?;
-    Ok(crate::tcp::tcp_deploy(inner, TCP_LOG_BACKEND)?.0)
-}
-
-/// The registry. Both backends share the disk format (`format_disk`
-/// installs the same empty catalog), so a formatted disk is
-/// backend-portable until the first bulk load.
-static BACKENDS: &[Backend] = &[
-    Backend {
-        name: BTREE_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: bulk_load_btree,
-        open: open_btree,
-    },
-    Backend {
-        name: HASH_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: hash_bulk_load,
-        open: open_hash,
-    },
-    Backend {
-        name: LOG_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: log_bulk_load,
-        open: open_log,
-    },
-    // The remote backends share their inner backend's disk format and
-    // bulk loader — only `open` differs, wrapping the component in a
-    // DcServer + loopback connection.
-    Backend {
-        name: REMOTE_BTREE_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: bulk_load_btree,
-        open: open_remote_btree,
-    },
-    Backend {
-        name: REMOTE_HASH_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: hash_bulk_load,
-        open: open_remote_hash,
-    },
-    Backend {
-        name: REMOTE_LOG_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: log_bulk_load,
-        open: open_remote_log,
-    },
-    // The tcp backends are the remote backends with the loopback channel
-    // swapped for a real socket: DcServer in its own accept/connection
-    // threads, TC dialing over TCP.
-    Backend {
-        name: TCP_BTREE_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: bulk_load_btree,
-        open: open_tcp_btree,
-    },
-    Backend {
-        name: TCP_HASH_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: hash_bulk_load,
-        open: open_tcp_hash,
-    },
-    Backend {
-        name: TCP_LOG_BACKEND,
-        format: DataComponent::format_disk,
-        bulk_load: log_bulk_load,
-        open: open_tcp_log,
-    },
+static STORES: [Store; 3] = [
+    store!(
+        "btree",
+        |disk, table, rows, fill| lr_btree::bulk_load(disk, table, rows, fill),
+        |d, w, c| Ok(Arc::new(DataComponent::open(d, w, c)?))
+    ),
+    store!("hash", hash_bulk_load, |d, w, c| Ok(Arc::new(HashDc::open(d, w, c)?))),
+    store!("log", log_bulk_load, |d, w, c| Ok(Arc::new(LogDc::open(d, w, c)?))),
 ];
 
-/// Look a backend up by name. Unknown names list the valid ones.
-pub fn backend(name: &str) -> Result<&'static Backend> {
-    BACKENDS.iter().find(|b| b.name == name).ok_or_else(|| {
-        Error::RecoveryInvariant(format!(
-            "unknown DC backend '{name}' (valid: {})",
-            backend_names().join(", ")
-        ))
-    })
+/// How the TC reaches a store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Deployment {
+    /// In process: the TC calls the component directly.
+    Local,
+    /// Behind the message boundary: a `RemoteDc` proxy talking to a
+    /// `DcServer` over the inline loopback (dispatch on the caller's
+    /// thread).
+    Remote,
+    /// Behind a real socket: the `DcServer` accepts on loopback TCP with a
+    /// thread per connection, and the proxy dials it.
+    Tcp,
 }
 
-/// Every registered backend name, registry order.
+impl Deployment {
+    const ALL: [Deployment; 3] = [Deployment::Local, Deployment::Remote, Deployment::Tcp];
+
+    /// Put `inner` behind this deployment's boundary under `name`.
+    pub fn deploy(self, inner: Arc<dyn DcApi>, name: &'static str) -> Result<Arc<dyn DcApi>> {
+        Ok(match self {
+            Deployment::Local => inner,
+            Deployment::Remote => crate::remote::remote_loopback(inner, name).0,
+            Deployment::Tcp => crate::tcp::tcp_deploy(inner, name)?.0,
+        })
+    }
+}
+
+/// A resolved backend name: one store in one deployment.
+#[derive(Clone, Copy)]
+pub struct Backend {
+    /// The name it resolved from (`EngineConfig::backend`).
+    pub name: &'static str,
+    pub deployment: Deployment,
+    store: &'static Store,
+}
+
+impl Backend {
+    /// Format a fresh disk (install the empty catalog on the meta page).
+    pub fn format(&self, disk: &mut dyn Disk) -> Result<()> {
+        (self.store.format)(disk)
+    }
+
+    /// Build the initial table directly on the disk (offline load,
+    /// bypassing pool and log); returns the table's placement anchor.
+    pub fn bulk_load(
+        &self,
+        disk: &mut dyn Disk,
+        table: TableId,
+        rows: &mut dyn Iterator<Item = (Key, Value)>,
+        fill: f64,
+    ) -> Result<PageId> {
+        (self.store.bulk_load)(disk, table, rows, fill)
+    }
+
+    /// Open the component over a formatted disk and the shared log, behind
+    /// this backend's deployment.
+    pub fn open(
+        &self,
+        disk: Box<dyn Disk>,
+        wal: SharedWal,
+        cfg: DcConfig,
+    ) -> Result<Arc<dyn DcApi>> {
+        self.deployment.deploy((self.store.open)(disk, wal, cfg)?, self.name)
+    }
+}
+
+/// Parse a backend name: `<store>`, `remote:<store>` or `tcp:<store>`.
+/// An unknown deployment prefix or store lists the valid names.
+pub fn backend(name: &str) -> Result<Backend> {
+    let unknown = |what: &str| {
+        Error::RecoveryInvariant(format!(
+            "unknown DC {what} in backend '{name}' (valid: {})",
+            backend_names().join(", ")
+        ))
+    };
+    let (deployment, store) = match name.split_once(':') {
+        None => (Deployment::Local, name),
+        Some(("remote", store)) => (Deployment::Remote, store),
+        Some(("tcp", store)) => (Deployment::Tcp, store),
+        Some(_) => return Err(unknown("deployment")),
+    };
+    let store = STORES.iter().find(|s| s.names[0] == store).ok_or_else(|| unknown("store"))?;
+    Ok(Backend { name: store.names[deployment as usize], deployment, store })
+}
+
+/// Every backend name: each deployment of each store.
 pub fn backend_names() -> Vec<&'static str> {
     backends().map(|b| b.name).collect()
 }
 
-/// Iterate the registry itself — what the unknown-backend error and the
-/// bench harnesses' `--help` output enumerate, so a newly registered
-/// backend shows up everywhere without touching either.
-pub fn backends() -> impl Iterator<Item = &'static Backend> {
-    BACKENDS.iter()
+/// Every backend — what the unknown-backend error and the bench
+/// harnesses' `--help` output enumerate, so a newly registered store
+/// shows up everywhere without touching either.
+pub fn backends() -> impl Iterator<Item = Backend> {
+    Deployment::ALL.into_iter().flat_map(|deployment| {
+        STORES.iter().map(move |store| Backend {
+            name: store.names[deployment as usize],
+            deployment,
+            store,
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lr_common::{IoModel, SimClock};
+    use lr_storage::SimDisk;
+    use lr_wal::Wal;
 
     #[test]
     fn registry_knows_all_backends() {
-        assert_eq!(
-            backend_names(),
-            vec![
-                BTREE_BACKEND,
-                HASH_BACKEND,
-                LOG_BACKEND,
-                REMOTE_BTREE_BACKEND,
-                REMOTE_HASH_BACKEND,
-                REMOTE_LOG_BACKEND,
-                TCP_BTREE_BACKEND,
-                TCP_HASH_BACKEND,
-                TCP_LOG_BACKEND
-            ]
-        );
-        for name in backend_names() {
-            assert!(backend(name).is_ok(), "{name} must resolve");
+        let stores = ["btree", "hash", "log"];
+        let deployments =
+            [("", Deployment::Local), ("remote:", Deployment::Remote), ("tcp:", Deployment::Tcp)];
+        let mut grid = Vec::new();
+        for (prefix, deployment) in deployments {
+            for store in stores {
+                let name = format!("{prefix}{store}");
+                let b = backend(&name).unwrap_or_else(|e| panic!("{name} must resolve: {e}"));
+                assert_eq!((b.name, b.deployment), (name.as_str(), deployment));
+                let mut disk = SimDisk::new(256, 0, SimClock::new(), IoModel::zero());
+                b.format(&mut disk).unwrap();
+                let dc = b.open(Box::new(disk), Wal::new_shared(4096), DcConfig::default());
+                assert_eq!(dc.unwrap().backend_name(), name, "an opened {name} reports its name");
+                grid.push(name);
+            }
         }
-        let err = match backend("lsm") {
-            Err(e) => e.to_string(),
-            Ok(b) => panic!("unexpectedly resolved '{}'", b.name),
-        };
-        // The error enumerates the registry through `backends()`.
-        for name in backend_names() {
-            assert!(err.contains(name), "{err} lacks {name}");
+        assert_eq!(backend_names(), grid, "the registry is exactly the 3x3 grid");
+
+        for (bad, what) in [("udp:btree", "deployment"), ("lsm", "store"), ("tcp:lsm", "store")] {
+            let err = match backend(bad) {
+                Err(e) => e.to_string(),
+                Ok(b) => panic!("unexpectedly resolved '{}'", b.name),
+            };
+            assert!(err.contains(&format!("unknown DC {what}")), "{err}");
+            for name in backend_names() {
+                assert!(err.contains(name), "{err} lacks {name}");
+            }
         }
     }
 }

@@ -165,7 +165,7 @@ pub enum WriteIntent {
 /// Placement information returned by [`DataComponent::prepare_write`]: the
 /// page the operation will land on (piggybacked onto the TC's log record for
 /// the physiological baselines) and the before-image for undo.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrepareInfo {
     pub pid: PageId,
     pub before: Option<Value>,

@@ -19,6 +19,18 @@
 //!   PF-list assembly (Appendix A.2);
 //! * [`DataComponent`] wires it together and services the TC's data
 //!   operations plus the EOSL / RSSP control operations (§4.1).
+//!
+//! The DC is pluggable and can live across a message boundary:
+//!
+//! * [`mod@backend`] parses a backend name — `<store>`, `remote:<store>` or
+//!   `tcp:<store>` — into a store ([`DataComponent`], [`HashDc`],
+//!   [`LogDc`]) and a [`Deployment`];
+//! * [`wire`] declares the TC↔DC protocol ([`DcRequest`] / [`DcReply`])
+//!   as message tables on the shared RPC stack ([`lr_common::rpc`]);
+//! * [`server`] ([`DcServer`]) dispatches requests onto a backend and
+//!   parks the guards that cannot cross the wire; [`remote`]
+//!   ([`RemoteDc`]) is the TC-side proxy over a pooled [`Transport`];
+//!   [`tcp`] ([`TcpDcServer`]) puts the server behind a real socket.
 
 pub mod api;
 pub mod backend;
@@ -40,9 +52,8 @@ pub use api::{
     DcApi, DcIntrospect, Located, OpGuard, PreloadStats, PreparedOp, TableGuard, TableSummary,
 };
 pub use backend::{
-    backend, backend_names, backends, Backend, BTREE_BACKEND, HASH_BACKEND, LOG_BACKEND,
-    REMOTE_BTREE_BACKEND, REMOTE_HASH_BACKEND, REMOTE_LOG_BACKEND, TCP_BTREE_BACKEND,
-    TCP_HASH_BACKEND, TCP_LOG_BACKEND,
+    backend, backend_names, backends, Backend, Deployment, BTREE_BACKEND, HASH_BACKEND,
+    LOG_BACKEND, REMOTE_BTREE_BACKEND,
 };
 pub use builders::{
     build_dpt_aries, build_dpt_logical, build_dpt_sqlserver, AnalysisCounts, DeltaDptMode,
@@ -57,9 +68,9 @@ pub use recovery::{
     dc_recover, find_recovery_window, replay_smo_screened, smo_barrier_physiological, smo_redo,
     DcRecoveryOutcome, SmoBarrierOutcome,
 };
-pub use remote::{remote_loopback, LoopbackTransport, RemoteDc, Transport};
+pub use remote::{remote_loopback, RemoteDc, Transport};
 pub use server::DcServer;
-pub use tcp::{tcp_deploy, TcpDcServer, TcpTransport};
+pub use tcp::{tcp_deploy, TcpDcServer};
 pub use telemetry::{WireOpStats, WireTelemetry, WireTelemetrySnapshot};
 pub use trackers::{BwTracker, DeltaTracker};
 pub use wire::{op_name, DcReply, DcRequest, WireError};

@@ -1,20 +1,29 @@
-//! The TC-side proxy: [`DcApi`] over a message transport.
+//! The TC-side proxy: [`DcApi`] over the RPC stack.
 //!
-//! [`RemoteDc`] implements the full DC contract by serializing every call
-//! into a framed [`DcRequest`], pushing it through a pluggable
-//! [`Transport`], and decoding the framed [`DcReply`]. The engine,
-//! recovery drivers, undo and maintenance run against it unmodified —
-//! proving the [`DcApi`] contract really is a message protocol, not a
-//! shared-memory API with trait syntax.
+//! [`RemoteDc`] implements the full DC contract by encoding every call as
+//! a [`DcRequest`], sending it through a [`Transport`] — a pool of
+//! [`rpc::Conn`]s to one [`DcServer`] — and decoding the [`DcReply`]. The
+//! engine, recovery drivers, undo and maintenance run against it
+//! unmodified — proving the [`DcApi`] contract really is a message
+//! protocol, not a shared-memory API with trait syntax.
 //!
-//! The transport shipped here is [`LoopbackTransport`]: it hands each
-//! frame to an in-process [`DcServer`] on the caller's thread. The frames
-//! it moves are exactly the bytes a TCP transport would write to a socket,
-//! so swapping in a real network is a transport-only change — including
-//! teardown: [`LoopbackTransport::disconnect`] models a dropped
-//! connection, failing subsequent calls with a broken-pipe error and
-//! performing the server-side guard cleanup a TCP accept loop runs when a
-//! client vanishes.
+//! A transport's connections are either the inline loopback
+//! ([`Transport::loopback`]: the server's dispatch runs on the caller's
+//! thread, moving exactly the bytes a socket would) or sockets
+//! ([`crate::tcp::tcp_deploy`]). Swapping one for the other is a
+//! connection-only change — including teardown:
+//! [`Transport::disconnect`] fails later calls with a broken-pipe error,
+//! and once its connections are gone the server runs the same
+//! orphaned-guard cleanup a socket server runs when a client vanishes.
+//!
+//! ## Why a connection *pool* and not one shared connection
+//!
+//! One connection behind a mutex deadlocks: caller A's dispatch can block
+//! server-side (waiting on a latch a parked guard holds) while caller B,
+//! queued behind A's in-flight exchange, is the very caller whose `Apply`
+//! (or `ReleaseOp`) would free that guard. Each exchange therefore checks
+//! a connection out of the pool (dialing a fresh one when the pool is
+//! empty), so blocked exchanges never gate other exchanges.
 //!
 //! ## Guard proxies
 //!
@@ -31,104 +40,135 @@
 //! ## EOSL is piggybacked
 //!
 //! [`DcApi::eosl`] sends nothing: it raises a client-side watermark
-//! (`fetch_max`), and every request frame carries the current watermark
-//! to the server, which publishes it before dispatch. A commit therefore
-//! costs no EOSL round trip, and the DC learns the new stable LSN with the
-//! next request — before that request can flush anything.
+//! (`fetch_max`), and every request carries the current watermark as its
+//! trailer to the server, which publishes it before dispatch. A commit
+//! therefore costs no EOSL round trip, and the DC learns the new stable
+//! LSN with the next request — before that request can flush anything.
 
 use crate::api::{
     DcApi, DcIntrospect, Located, PreloadStats, PreparedOp, TableGuard, TableSummary,
 };
+use crate::backend::Deployment;
 use crate::dc::{DcConfig, DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
-use crate::server::{envelope, open_envelope, wire_error, DcServer};
+use crate::server::DcServer;
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
 use crate::wire::{DcReply, DcRequest, WireDpt};
 use lr_buffer::BufferPool;
-use lr_common::codec::{frame, unframe};
-use lr_common::{Error, Key, Lsn, PageId, Result, TableId, Value};
+use lr_common::rpc::{self, Conn, InlineConn};
+use lr_common::{ask, Error, Key, Lsn, PageId, Result, TableId, Value};
 use lr_obs::{EventKind, TraceSink};
 use lr_storage::Disk;
 use lr_wal::{LogRecord, SharedWal, SmoRecord};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A synchronous request/reply byte transport: one framed request in, one
-/// framed reply out. Implementations move opaque frames — the protocol
-/// lives entirely in [`crate::wire`].
-pub trait Transport: Send + Sync {
-    /// Deliver one framed request and return the framed reply.
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>>;
+/// Idle connections kept for reuse; beyond this, returned connections
+/// are closed. Deep enough that a fleet of concurrent sessions plus their
+/// guard-drop traffic reuses connections instead of re-dialing per call.
+const POOL_CAP: usize = 16;
 
-    /// The frame server on the far side, when it lives in this process
-    /// (tests compare both sides' telemetry and watch its guard table).
-    /// Default: `None` — the server belongs to some other process.
-    fn server(&self) -> Option<Arc<DcServer>> {
-        None
-    }
+/// Opens one more connection to the server.
+pub(crate) type Dial = Box<dyn Fn() -> std::io::Result<Box<dyn Conn>> + Send + Sync>;
 
-    /// Attach a trace journal to the far side, if the transport can reach
-    /// it (the loopback hands it to its in-process server; a network
-    /// transport would negotiate tracing out of band). Default: no-op.
-    fn set_trace(&self, _sink: TraceSink) {}
+/// Where a connected transport's connections come from.
+struct Link {
+    dial: Dial,
+    /// The server, when it lives in this process (tests compare both
+    /// sides' telemetry and watch its guard table; tracing reaches it
+    /// through this).
+    server: Option<Arc<DcServer>>,
 }
 
-/// In-process transport: frames go straight to a [`DcServer`], executing
-/// on the caller's thread (so concurrent TC sessions dispatch concurrently
-/// exactly as a thread-per-connection server would).
-pub struct LoopbackTransport {
-    server: RwLock<Option<Arc<DcServer>>>,
+/// The TC's end of the TC↔DC connection: a pool of [`rpc::Conn`]s to one
+/// [`DcServer`], one checked out per in-flight exchange. A connection
+/// goes back in the pool only after a complete exchange, so a broken
+/// stream never serves a second call.
+pub struct Transport {
+    link: RwLock<Option<Link>>,
+    idle: Mutex<Vec<Box<dyn Conn>>>,
 }
 
-impl LoopbackTransport {
-    pub fn new(server: Arc<DcServer>) -> LoopbackTransport {
-        LoopbackTransport { server: RwLock::new(Some(server)) }
+impl Transport {
+    /// The inline loopback to an in-process server: each exchange runs the
+    /// server's dispatch on the caller's thread, so concurrent TC sessions
+    /// dispatch concurrently exactly as a thread-per-connection server
+    /// would.
+    pub fn loopback(server: Arc<DcServer>) -> Transport {
+        let transport = Transport { link: RwLock::new(None), idle: Mutex::new(Vec::new()) };
+        transport.reconnect(server);
+        transport
     }
 
-    /// Drop the connection: subsequent calls fail with a broken-pipe
-    /// error, and the server's parked guards are released — the cleanup a
-    /// network server performs when a client's connection dies. The
-    /// server traces the teardown as a `wire_disconnect` event carrying
-    /// the orphaned-guard count.
+    /// A transport over `dial`. The first connection is dialed eagerly —
+    /// to fail fast, and to hold the server's live-connection count above
+    /// zero while the client is alive.
+    pub(crate) fn dialing(dial: Dial, server: Option<Arc<DcServer>>) -> Result<Transport> {
+        let first = dial()?;
+        Ok(Transport {
+            link: RwLock::new(Some(Link { dial, server })),
+            idle: Mutex::new(vec![first]),
+        })
+    }
+
+    /// Sever the connection: close every pooled connection and fail all
+    /// later calls with a broken-pipe error. Once in-flight exchanges
+    /// drain, the server's last-connection cleanup releases the guards
+    /// this client left parked.
     pub fn disconnect(&self) {
-        if let Some(server) = self.server.write().take() {
-            server.disconnect();
-        }
+        let mut link = self.link.write();
+        *link = None;
+        self.idle.lock().clear();
     }
 
-    /// Re-attach to a server (a client re-establishing its connection).
+    /// Re-attach to an in-process server over the inline loopback (a
+    /// client re-establishing its connection).
     pub fn reconnect(&self, server: Arc<DcServer>) {
-        *self.server.write() = Some(server);
+        let handler = server.handler();
+        let dial: Dial =
+            Box::new(move || Ok(Box::new(InlineConn::new(handler.clone())) as Box<dyn Conn>));
+        let mut link = self.link.write();
+        *link = Some(Link { dial, server: Some(server) });
+        self.idle.lock().clear();
     }
 
     pub fn is_connected(&self) -> bool {
-        self.server.read().is_some()
+        self.link.read().is_some()
     }
-}
 
-impl Transport for LoopbackTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-        let server = self.server.read().clone();
-        match server {
-            Some(server) => Ok(server.serve_frame(request)),
-            None => Err(Error::Io(std::io::Error::new(
+    /// The server on the far side, when it lives in this process.
+    pub fn server(&self) -> Option<Arc<DcServer>> {
+        self.link.read().as_ref().and_then(|link| link.server.clone())
+    }
+
+    /// One exchange: the request body under `req_id`, on a pooled
+    /// connection. Returns the reply and its body size.
+    pub(crate) fn call(&self, req_id: u64, body: &[u8]) -> Result<(DcReply, usize)> {
+        let mut conn = self.checkout()?;
+        let answer = rpc::call(conn.as_mut(), req_id, body)?;
+        let link = self.link.read();
+        let mut idle = self.idle.lock();
+        if link.is_some() && idle.len() < POOL_CAP {
+            idle.push(conn);
+        }
+        Ok(answer)
+    }
+
+    fn checkout(&self) -> Result<Box<dyn Conn>> {
+        let link = self.link.read();
+        let Some(link) = link.as_ref() else {
+            return Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "DC transport disconnected",
-            ))),
-        }
-    }
-
-    /// The attached server, if connected.
-    fn server(&self) -> Option<Arc<DcServer>> {
-        self.server.read().clone()
-    }
-
-    fn set_trace(&self, sink: TraceSink) {
-        if let Some(server) = self.server.read().as_ref() {
-            server.set_trace(sink);
+            )));
+        };
+        let pooled = self.idle.lock().pop();
+        match pooled {
+            Some(conn) => Ok(conn),
+            None => Ok((link.dial)()?),
         }
     }
 }
@@ -138,7 +178,7 @@ impl Transport for LoopbackTransport {
 /// (via `Arc`) by the proxy and its guard drops so *every* exchange —
 /// releases included — lands in one set of accumulators.
 struct WireClient {
-    transport: Arc<dyn Transport>,
+    transport: Arc<Transport>,
     /// Request-id source; starts at 1 so 0 only ever means "the server
     /// could not read an id off the frame".
     next_req_id: AtomicU64,
@@ -149,50 +189,30 @@ struct WireClient {
 }
 
 impl WireClient {
-    fn new(transport: Arc<dyn Transport>) -> WireClient {
-        WireClient {
-            transport,
-            next_req_id: AtomicU64::new(1),
-            eosl: AtomicU64::new(Lsn::NULL.0),
-            telemetry: WireTelemetry::new(),
-            trace: std::sync::OnceLock::new(),
-        }
-    }
-
     #[inline]
     fn trace(&self) -> Option<&TraceSink> {
         self.trace.get().filter(|s| s.is_enabled())
     }
 
-    /// One framed round trip: stamp a fresh request id and the current
-    /// EOSL watermark, time the transport, check the echoed id, and
-    /// record the exchange.
+    /// One round trip: stamp a fresh request id and the current EOSL
+    /// watermark, time the exchange, and record it.
     fn call(&self, req: &DcRequest) -> Result<DcReply> {
         let tag = req.tag();
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let body = req.encode_with_eosl(Lsn(self.eosl.load(Ordering::Acquire)));
+        let body = req.encode_with(&Lsn(self.eosl.load(Ordering::Acquire)));
         if let Some(t) = self.trace() {
             t.emit(EventKind::WireRequest { req_id, op: tag as u64, bytes: body.len() as u64 });
         }
         let start = Instant::now();
-        let reply = self.transport.call(&frame(&envelope(req_id, &body)))?;
+        let (rep, rep_bytes) = self.transport.call(req_id, &body)?;
         let lat_us = start.elapsed().as_micros() as u64;
-        let payload = unframe(&reply).map_err(wire_error)?;
-        let (echo, rep_body) =
-            open_envelope(payload).map_err(|e| Error::RecoveryInvariant(format!("wire: {e}")))?;
-        if echo != req_id {
-            return Err(Error::RecoveryInvariant(format!(
-                "wire: reply id {echo} does not match request id {req_id}"
-            )));
-        }
-        let rep = DcReply::decode(rep_body).map_err(wire_error)?;
         let ok = !matches!(rep, DcReply::Err(_));
-        self.telemetry.record(tag, body.len(), rep_body.len(), lat_us, ok);
+        self.telemetry.record(tag, body.len(), rep_bytes, lat_us, ok);
         if let Some(t) = self.trace() {
             t.emit(EventKind::WireReply {
                 req_id,
                 op: tag as u64,
-                bytes: rep_body.len() as u64,
+                bytes: rep_bytes as u64,
                 lat_us,
                 ok,
             });
@@ -231,52 +251,40 @@ pub struct RemoteDc {
     local: Arc<dyn DcApi>,
     name: &'static str,
     /// How [`DcApi::reopen`] stands a fresh deployment up around the
-    /// reopened backend: loopback by default, a fresh socket dial for the
-    /// TCP deployments.
-    redeploy: RedeployFn,
-}
-
-/// Deployment constructor a crash fork uses to rebuild the server +
-/// transport pair around a reopened backend.
-pub type RedeployFn = fn(Arc<dyn DcApi>, &'static str) -> Result<Arc<dyn DcApi>>;
-
-fn loopback_redeploy(inner: Arc<dyn DcApi>, name: &'static str) -> Result<Arc<dyn DcApi>> {
-    Ok(remote_loopback(inner, name).0)
+    /// reopened backend.
+    deployment: Deployment,
 }
 
 impl RemoteDc {
     pub fn new(
-        transport: Arc<dyn Transport>,
+        transport: Arc<Transport>,
         local: Arc<dyn DcApi>,
         name: &'static str,
+        deployment: Deployment,
     ) -> RemoteDc {
-        RemoteDc::with_redeploy(transport, local, name, loopback_redeploy)
+        let client = Arc::new(WireClient {
+            transport,
+            next_req_id: AtomicU64::new(1),
+            eosl: AtomicU64::new(Lsn::NULL.0),
+            telemetry: WireTelemetry::new(),
+            trace: std::sync::OnceLock::new(),
+        });
+        RemoteDc { client, local, name, deployment }
     }
 
-    /// As [`RemoteDc::new`], with an explicit reopen strategy (the TCP
-    /// deployment re-dials instead of falling back to loopback).
-    pub fn with_redeploy(
-        transport: Arc<dyn Transport>,
-        local: Arc<dyn DcApi>,
-        name: &'static str,
-        redeploy: RedeployFn,
-    ) -> RemoteDc {
-        RemoteDc { client: Arc::new(WireClient::new(transport)), local, name, redeploy }
+    fn call(&self, req: &DcRequest) -> Result<DcReply> {
+        self.client.call(req)
     }
 
-    fn call(&self, req: DcRequest) -> Result<DcReply> {
-        self.client.call(&req)
-    }
-
-    /// A reply variant the request contract does not allow.
-    fn protocol(ctx: &'static str, got: DcReply) -> Error {
-        Error::RecoveryInvariant(format!("wire: unexpected reply for {ctx}: {got:?}"))
+    /// A call whose only success is [`DcReply::Unit`].
+    fn expect_unit(&self, req: DcRequest) -> Result<()> {
+        ask!(self, req, DcReply::Unit => ())
     }
 
     /// Fire-and-forget call for `()`-returning trait methods: transport
     /// failures surface on the next fallible operation instead.
     fn call_unit(&self, req: DcRequest) {
-        let _ = self.call(req);
+        let _ = self.call(&req);
     }
 
     /// The client-side per-op accumulators: round-trip latencies as this
@@ -299,23 +307,19 @@ impl RemoteDc {
     /// [`DcRequest::Introspect`] — dispatch-side latencies, so the gap to
     /// [`RemoteDc::wire_telemetry`] is pure transport overhead.
     pub fn server_telemetry(&self) -> Result<WireTelemetrySnapshot> {
-        match self.call(DcRequest::Introspect)? {
-            DcReply::WireTelemetry(snap) => Ok(snap),
-            other => Err(Self::protocol("introspect", other)),
-        }
+        ask!(self, DcRequest::Introspect, DcReply::WireTelemetry(snap) => snap)
     }
 }
 
-/// Wrap a backend in a loopback message deployment: server + transport +
+/// Wrap a backend in an inline loopback deployment: server + transport +
 /// proxy. Returns the proxy (what the engine holds) and the transport
 /// (tests use it to sever and re-establish the connection).
 pub fn remote_loopback(
     inner: Arc<dyn DcApi>,
     name: &'static str,
-) -> (Arc<RemoteDc>, Arc<LoopbackTransport>) {
-    let server = Arc::new(DcServer::new(inner.clone()));
-    let transport = Arc::new(LoopbackTransport::new(server));
-    (Arc::new(RemoteDc::new(transport.clone(), inner, name)), transport)
+) -> (Arc<RemoteDc>, Arc<Transport>) {
+    let transport = Arc::new(Transport::loopback(Arc::new(DcServer::new(inner.clone()))));
+    (Arc::new(RemoteDc::new(transport.clone(), inner, name, Deployment::Remote)), transport)
 }
 
 impl DcIntrospect for RemoteDc {
@@ -328,7 +332,7 @@ impl DcIntrospect for RemoteDc {
     }
 
     fn stats(&self) -> DcStats {
-        match self.call(DcRequest::Stats) {
+        match self.call(&DcRequest::Stats) {
             Ok(DcReply::Stats(s)) => *s,
             _ => DcStats::default(),
         }
@@ -349,47 +353,36 @@ impl DcIntrospect for RemoteDc {
 
 impl DcApi for RemoteDc {
     fn read(&self, table: TableId, key: Key) -> Result<Option<Value>> {
-        match self.call(DcRequest::Read { table, key })? {
-            DcReply::Value(v) => Ok(v),
-            other => Err(Self::protocol("read", other)),
-        }
+        ask!(self, DcRequest::Read { table, key }, DcReply::Value(v) => v)
     }
 
     fn read_range(&self, table: TableId, from: Key, to: Key) -> Result<Vec<(Key, Value)>> {
-        match self.call(DcRequest::ReadRange { table, from, to })? {
-            DcReply::Rows(rows) => Ok(rows),
-            other => Err(Self::protocol("read_range", other)),
-        }
+        ask!(self, DcRequest::ReadRange { table, from, to }, DcReply::Rows(rows) => rows)
     }
 
     fn scan_all(&self, table: TableId) -> Result<Vec<(Key, Value)>> {
-        match self.call(DcRequest::ScanAll { table })? {
-            DcReply::Rows(rows) => Ok(rows),
-            other => Err(Self::protocol("scan_all", other)),
-        }
+        ask!(self, DcRequest::ScanAll { table }, DcReply::Rows(rows) => rows)
     }
 
     fn prepare_op(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PreparedOp<'_>> {
-        match self.call(DcRequest::PrepareOp { table, key, intent: intent.into() })? {
-            DcReply::Prepared { token, pid, before } => {
-                // Dropped unapplied, the op frees its server-side guard
-                // (best-effort: a dead transport means the disconnect
-                // cleanup already did).
-                let client = self.client.clone();
-                let release = move |token| {
-                    let _ = client.call(&DcRequest::ReleaseOp { token });
-                };
-                Ok(PreparedOp::parked(pid, before, token, release))
-            }
-            other => Err(Self::protocol("prepare_op", other)),
-        }
+        let (token, pid, before) = ask!(
+            self,
+            DcRequest::PrepareOp { table, key, intent: intent.into() },
+            DcReply::Prepared { token, pid, before } => (token, pid, before)
+        )?;
+        // Dropped unapplied, the op frees its server-side guard
+        // (best-effort: a dead transport means the disconnect cleanup
+        // already did).
+        let client = self.client.clone();
+        let release = move |token| {
+            let _ = client.call(&DcRequest::ReleaseOp { token });
+        };
+        Ok(PreparedOp::parked(pid, before, token, release))
     }
 
     fn prepare_write(&self, table: TableId, key: Key, intent: WriteIntent) -> Result<PrepareInfo> {
-        match self.call(DcRequest::PrepareWrite { table, key, intent: intent.into() })? {
-            DcReply::Info { pid, before } => Ok(PrepareInfo { pid, before }),
-            other => Err(Self::protocol("prepare_write", other)),
-        }
+        let req = DcRequest::PrepareWrite { table, key, intent: intent.into() };
+        ask!(self, req, DcReply::Info(info) => info)
     }
 
     fn apply(&self, mut op: PreparedOp<'_>, rec: &LogRecord) -> Result<()> {
@@ -397,27 +390,20 @@ impl DcApi for RemoteDc {
         // server-side whatever the apply's outcome; an op staged locally
         // (token 0) keeps its own hold until it drops after the exchange.
         let token = op.take_token();
-        let out = match self.call(DcRequest::Apply { token: token.unwrap_or(0), rec: rec.clone() })
-        {
-            Ok(DcReply::Unit) => Ok(()),
-            Ok(other) => Err(Self::protocol("apply", other)),
-            Err(e) => Err(e),
-        };
+        let out =
+            self.expect_unit(DcRequest::Apply { token: token.unwrap_or(0), rec: rec.clone() });
         if let (Err(_), Some(token)) = (&out, token) {
             // A request lost in transit left its guard parked. Releasing
             // is idempotent, so free it whether or not the apply arrived
             // (best-effort, as on drop).
-            let _ = self.client.call(&DcRequest::ReleaseOp { token });
+            self.call_unit(DcRequest::ReleaseOp { token });
         }
         drop(op);
         out
     }
 
     fn apply_at(&self, pid: PageId, rec: &LogRecord) -> Result<()> {
-        match self.call(DcRequest::ApplyAt { pid, rec: rec.clone() })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("apply_at", other)),
-        }
+        self.expect_unit(DcRequest::ApplyAt { pid, rec: rec.clone() })
     }
 
     fn eosl(&self, elsn: Lsn) {
@@ -426,10 +412,7 @@ impl DcApi for RemoteDc {
     }
 
     fn rssp(&self, rssp_lsn: Lsn) -> Result<()> {
-        match self.call(DcRequest::Rssp { rssp_lsn })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("rssp", other)),
-        }
+        self.expect_unit(DcRequest::Rssp { rssp_lsn })
     }
 
     fn drain_in_flight_ops(&self) {
@@ -441,10 +424,7 @@ impl DcApi for RemoteDc {
     }
 
     fn reload_catalog(&self) -> Result<()> {
-        match self.call(DcRequest::ReloadCatalog)? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("reload_catalog", other)),
-        }
+        self.expect_unit(DcRequest::ReloadCatalog)
     }
 
     fn pump_events(&self) {
@@ -460,46 +440,31 @@ impl DcApi for RemoteDc {
     }
 
     fn cleaner_pass(&self) -> Result<usize> {
-        match self.call(DcRequest::CleanerPass)? {
-            DcReply::Count(c) => Ok(c as usize),
-            other => Err(Self::protocol("cleaner_pass", other)),
-        }
+        ask!(self, DcRequest::CleanerPass, DcReply::Count(c) => c as usize)
     }
 
     fn over_dirty_watermark(&self) -> bool {
-        matches!(self.call(DcRequest::OverDirtyWatermark), Ok(DcReply::Flag(true)))
+        matches!(self.call(&DcRequest::OverDirtyWatermark), Ok(DcReply::Flag(true)))
     }
 
     fn compact_pass(&self) -> Result<usize> {
-        match self.call(DcRequest::CompactPass)? {
-            DcReply::Count(c) => Ok(c as usize),
-            other => Err(Self::protocol("compact_pass", other)),
-        }
+        ask!(self, DcRequest::CompactPass, DcReply::Count(c) => c as usize)
     }
 
     fn over_garbage_watermark(&self) -> bool {
-        matches!(self.call(DcRequest::OverGarbageWatermark), Ok(DcReply::Flag(true)))
+        matches!(self.call(&DcRequest::OverGarbageWatermark), Ok(DcReply::Flag(true)))
     }
 
     fn create_table(&self, table: TableId) -> Result<()> {
-        match self.call(DcRequest::CreateTable { table })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("create_table", other)),
-        }
+        self.expect_unit(DcRequest::CreateTable { table })
     }
 
     fn register_table(&self, table: TableId, root: PageId) -> Result<()> {
-        match self.call(DcRequest::RegisterTable { table, root })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("register_table", other)),
-        }
+        self.expect_unit(DcRequest::RegisterTable { table, root })
     }
 
     fn table_root(&self, table: TableId) -> Result<PageId> {
-        match self.call(DcRequest::TableRoot { table })? {
-            DcReply::Pid(pid) => Ok(pid),
-            other => Err(Self::protocol("table_root", other)),
-        }
+        ask!(self, DcRequest::TableRoot { table }, DcReply::Pid(pid) => pid)
     }
 
     fn set_root(&self, table: TableId, root: PageId) {
@@ -507,14 +472,11 @@ impl DcApi for RemoteDc {
     }
 
     fn save_catalog(&self, lsn: Lsn) -> Result<()> {
-        match self.call(DcRequest::SaveCatalog { lsn })? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("save_catalog", other)),
-        }
+        self.expect_unit(DcRequest::SaveCatalog { lsn })
     }
 
     fn tables(&self) -> Vec<TableId> {
-        match self.call(DcRequest::Tables) {
+        match self.call(&DcRequest::Tables) {
             Ok(DcReply::TableIds(ts)) => ts,
             _ => Vec::new(),
         }
@@ -524,7 +486,7 @@ impl DcApi for RemoteDc {
         // The trait has no error channel here; a dead transport is a
         // deployment failure, not a recoverable condition for a caller
         // that needs an exclusive latch.
-        match self.call(DcRequest::LockTableExclusive { table }) {
+        match self.call(&DcRequest::LockTableExclusive { table }) {
             Ok(DcReply::TableLocked { token }) => {
                 TableGuard::new(RemoteTableGuard { client: self.client.clone(), token })
             }
@@ -534,17 +496,12 @@ impl DcApi for RemoteDc {
     }
 
     fn verify_table(&self, table: TableId) -> Result<TableSummary> {
-        match self.call(DcRequest::VerifyTable { table })? {
-            DcReply::Summary(s) => Ok(s),
-            other => Err(Self::protocol("verify_table", other)),
-        }
+        ask!(self, DcRequest::VerifyTable { table }, DcReply::Summary(s) => s)
     }
 
     fn smo_redo(&self, window: &[LogRecord]) -> Result<(u64, u64)> {
-        match self.call(DcRequest::SmoRedo { window: window.to_vec() })? {
-            DcReply::Pair(applied, skipped) => Ok((applied, skipped)),
-            other => Err(Self::protocol("smo_redo", other)),
-        }
+        let req = DcRequest::SmoRedo { window: window.to_vec() };
+        ask!(self, req, DcReply::Pair(applied, skipped) => (applied, skipped))
     }
 
     fn replay_smo_screened(
@@ -555,54 +512,39 @@ impl DcApi for RemoteDc {
         out: &mut SmoBarrierOutcome,
     ) -> Result<Option<Lsn>> {
         let req = DcRequest::ReplaySmoScreened { lsn, smo: smo.clone(), dpt: WireDpt::from(dpt) };
-        match self.call(req)? {
-            DcReply::SmoReplayed { moved_root, outcome } => {
-                out.pages_applied += outcome.pages_applied;
-                out.skipped_no_dpt_entry += outcome.skipped_no_dpt_entry;
-                out.skipped_rlsn += outcome.skipped_rlsn;
-                out.skipped_plsn += outcome.skipped_plsn;
-                Ok(moved_root)
-            }
-            other => Err(Self::protocol("replay_smo_screened", other)),
-        }
+        let (moved_root, outcome) =
+            ask!(self, req, DcReply::SmoReplayed { moved_root, outcome } => (moved_root, outcome))?;
+        out.pages_applied += outcome.pages_applied;
+        out.skipped_no_dpt_entry += outcome.skipped_no_dpt_entry;
+        out.skipped_rlsn += outcome.skipped_rlsn;
+        out.skipped_plsn += outcome.skipped_plsn;
+        Ok(moved_root)
     }
 
     fn resolve_redo_pid(&self, table: TableId, key: Key, logged_pid: PageId) -> Result<Located> {
-        match self.call(DcRequest::ResolveRedoPid { table, key, logged_pid })? {
-            DcReply::LocatedAt { pid, levels, stall_us } => Ok(Located { pid, levels, stall_us }),
-            other => Err(Self::protocol("resolve_redo_pid", other)),
-        }
+        ask!(self, DcRequest::ResolveRedoPid { table, key, logged_pid }, DcReply::LocatedAt(l) => l)
     }
 
     fn locate_key(&self, table: TableId, key: Key) -> Result<Located> {
-        match self.call(DcRequest::LocateKey { table, key })? {
-            DcReply::LocatedAt { pid, levels, stall_us } => Ok(Located { pid, levels, stall_us }),
-            other => Err(Self::protocol("locate_key", other)),
-        }
+        ask!(self, DcRequest::LocateKey { table, key }, DcReply::LocatedAt(l) => l)
     }
 
     fn preload_index(&self) -> Result<PreloadStats> {
-        match self.call(DcRequest::PreloadIndex)? {
-            DcReply::Preload { pages_loaded, prefetch_ios, prefetch_pages } => {
-                Ok(PreloadStats { pages_loaded, prefetch_ios, prefetch_pages })
-            }
-            other => Err(Self::protocol("preload_index", other)),
-        }
+        ask!(self, DcRequest::PreloadIndex, DcReply::Preload(stats) => stats)
     }
 
     fn finish_redo(&self) -> Result<()> {
-        match self.call(DcRequest::FinishRedo)? {
-            DcReply::Unit => Ok(()),
-            other => Err(Self::protocol("finish_redo", other)),
-        }
+        self.expect_unit(DcRequest::FinishRedo)
     }
 
     fn set_trace(&self, sink: TraceSink) {
         // Three parties see the sink: the client (round-trip events), the
-        // far side through the transport (dispatch events), and the local
-        // backend handle (pool/OLC events in this co-located deployment).
+        // co-located server (dispatch events), and the local backend
+        // handle (pool/OLC events in this co-located deployment).
         let _ = self.client.trace.set(sink.clone());
-        self.client.transport.set_trace(sink.clone());
+        if let Some(server) = self.server() {
+            server.set_trace(sink.clone());
+        }
         self.local.set_trace(sink);
     }
 
@@ -611,7 +553,7 @@ impl DcApi for RemoteDc {
         // around it — a crash fork gets its own deployment, exactly as a
         // restarted TC process would re-dial the DC.
         let inner = self.local.reopen(disk, wal, cfg)?;
-        (self.redeploy)(inner, self.name)
+        self.deployment.deploy(inner, self.name)
     }
 }
 
@@ -625,7 +567,7 @@ mod tests {
 
     const T: TableId = TableId(1);
 
-    fn deployment() -> (Arc<RemoteDc>, Arc<LoopbackTransport>) {
+    fn deployment() -> (Arc<RemoteDc>, Arc<Transport>) {
         let mut disk = SimDisk::new(512, 0, SimClock::new(), IoModel::zero());
         DataComponent::format_disk(&mut disk).unwrap();
         let wal = Wal::new_shared(4096);
@@ -717,24 +659,29 @@ mod tests {
         assert_eq!(transport.server().unwrap().held_guards(), 0);
     }
 
-    /// Loopback that loses the next `Apply` request in transit.
+    /// An inline connection that loses the next `Apply` request in transit.
     struct LosesNextApply {
-        inner: LoopbackTransport,
-        armed: std::sync::atomic::AtomicBool,
+        inner: InlineConn,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+        lost: bool,
     }
 
-    impl Transport for LosesNextApply {
-        fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-            let (_, body) = open_envelope(unframe(request).unwrap()).unwrap();
+    impl Conn for LosesNextApply {
+        fn send(&mut self, frame: Vec<u8>) -> std::io::Result<()> {
+            let (_, body) = rpc::open(&frame).unwrap();
             let is_apply = matches!(DcRequest::decode(body), Ok(DcRequest::Apply { .. }));
-            if is_apply && self.armed.swap(false, Ordering::SeqCst) {
-                return Err(Error::Io(std::io::ErrorKind::ConnectionReset.into()));
+            self.lost = is_apply && self.armed.swap(false, Ordering::SeqCst);
+            if self.lost {
+                return Ok(());
             }
-            self.inner.call(request)
+            self.inner.send(frame)
         }
 
-        fn server(&self) -> Option<Arc<DcServer>> {
-            self.inner.server()
+        fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+            if self.lost {
+                return Err(std::io::ErrorKind::ConnectionReset.into());
+            }
+            self.inner.recv()
         }
     }
 
@@ -742,11 +689,16 @@ mod tests {
     fn apply_lost_in_transit_still_frees_its_parked_guard() {
         let (local, _) = deployment();
         let server = Arc::new(DcServer::new(local.local.clone()));
-        let transport = Arc::new(LosesNextApply {
-            inner: LoopbackTransport::new(server.clone()),
-            armed: std::sync::atomic::AtomicBool::new(true),
+        let handler = server.handler();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let dial: Dial = Box::new(move || {
+            let inner = InlineConn::new(handler.clone());
+            Ok(Box::new(LosesNextApply { inner, armed: armed.clone(), lost: false })
+                as Box<dyn Conn>)
         });
-        let remote = RemoteDc::new(transport, local.local.clone(), "remote:lossy");
+        let transport = Arc::new(Transport::dialing(dial, Some(server.clone())).unwrap());
+        let remote =
+            RemoteDc::new(transport, local.local.clone(), "remote:lossy", Deployment::Remote);
         let op = remote.prepare_op(T, 4, WriteIntent::Insert { value_len: 4 }).unwrap();
         let payload = LogPayload::Insert {
             txn: TxnId(1),
@@ -810,19 +762,27 @@ mod tests {
         assert!(wired.total_count() > 0);
     }
 
-    /// A transport that echoes the wrong request id on every reply.
-    struct WrongIdTransport;
+    /// A connection that echoes the wrong request id on every reply.
+    struct WrongId(Option<Vec<u8>>);
 
-    impl Transport for WrongIdTransport {
-        fn call(&self, _request: &[u8]) -> Result<Vec<u8>> {
-            Ok(frame(&envelope(u64::MAX, &DcReply::Unit.encode())))
+    impl Conn for WrongId {
+        fn send(&mut self, _frame: Vec<u8>) -> std::io::Result<()> {
+            self.0 = Some(rpc::seal(u64::MAX, &DcReply::Unit.encode()));
+            Ok(())
+        }
+
+        fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+            Ok(self.0.take())
         }
     }
 
     #[test]
     fn mismatched_reply_id_is_a_protocol_error() {
         let (remote, _transport) = deployment();
-        let broken = RemoteDc::new(Arc::new(WrongIdTransport), remote.local.clone(), "remote:bad");
+        let dial: Dial = Box::new(|| Ok(Box::new(WrongId(None)) as Box<dyn Conn>));
+        let transport = Arc::new(Transport::dialing(dial, None).unwrap());
+        let broken =
+            RemoteDc::new(transport, remote.local.clone(), "remote:bad", Deployment::Remote);
         match broken.read(T, 1) {
             Err(Error::RecoveryInvariant(m)) => assert!(m.contains("does not match"), "{m}"),
             other => panic!("expected a protocol error, got {other:?}"),

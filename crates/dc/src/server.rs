@@ -1,10 +1,13 @@
 //! The DC-side message dispatcher.
 //!
 //! A [`DcServer`] owns a registered local backend (any [`DcApi`]) and
-//! serves framed [`DcRequest`]s against it: unframe → decode → dispatch →
-//! encode → frame. It is the process-boundary half of the Deuteronomy
-//! split — a TC connecting over any byte transport talks to this and never
-//! to the backend directly.
+//! answers [`DcRequest`]s against it. The frame pipeline — unframe, open
+//! the request-id envelope, decode, encode, frame, and the typed answer to
+//! a corrupt frame — is the shared [`rpc::serve_frame`]; the server adds
+//! only its own duties: dispatch, parked guards, the EOSL trailer, wire
+//! telemetry and trace events, and last-connection cleanup. It is the
+//! process-boundary half of the Deuteronomy split — a TC connecting over
+//! any [`rpc::Conn`] talks to this and never to the backend directly.
 //!
 //! ## Server-held guards
 //!
@@ -18,29 +21,36 @@
 //! `Apply` whose token is stale or unknown fails with
 //! [`Error::UnknownToken`] and touches nothing. `ReleaseOp { token }` is
 //! left for prepared ops the client abandons unapplied. Releases are
-//! idempotent, and a transport that drops its connection calls
-//! [`DcServer::release_all`] so a vanished client can never wedge the DC
-//! (the same duty a TCP accept loop performs on connection teardown).
+//! idempotent.
+//!
+//! ## Last-connection cleanup
+//!
+//! Parked guards belong to the client, not to any one connection (a
+//! client's pooled connection may simply be retired). Every connection —
+//! a socket's serve thread, or an inline loopback while it is connected —
+//! holds an [`Attachment`]; when the last one goes, the client is gone and
+//! [`DcServer::disconnect`] releases every orphaned guard, so a vanished
+//! client can never wedge the DC.
 //!
 //! ## EOSL rides on every request
 //!
-//! There is no EOSL message. Each request frame carries the client's EOSL
-//! watermark ([`DcRequest::decode_with_eosl`]), and [`DcServer::serve_frame`]
-//! publishes it to the backend *before* dispatching the request, so any
-//! flush that request triggers already sees the TC's latest stable LSN.
+//! There is no EOSL message. Each request carries the client's EOSL
+//! watermark as its trailer ([`DcRequest::decode_with`]), and
+//! [`DcServer::serve_frame`] publishes it to the backend *before*
+//! dispatching the request, so any flush that request triggers already
+//! sees the TC's latest stable LSN.
 
 use crate::api::{DcApi, PreparedOp, TableGuard};
 use crate::recovery::SmoBarrierOutcome;
 use crate::telemetry::{WireTelemetry, WireTelemetrySnapshot};
 use crate::wire::{DcReply, DcRequest, WireError};
-use lr_common::codec::{frame, unframe};
+use lr_common::rpc;
 use lr_common::{Error, Lsn, PageId, Result};
 use lr_obs::{EventKind, TraceSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A parked [`PreparedOp`] with the `Arc` that keeps its borrowed backend
 /// alive. Field order is drop order: the guard must die before the owner
@@ -67,6 +77,8 @@ pub struct DcServer {
     /// telemetry, pullable by a client through [`DcRequest::Introspect`].
     telemetry: WireTelemetry,
     trace: std::sync::OnceLock<TraceSink>,
+    /// Live [`Attachment`]s: connections the client holds open.
+    live: AtomicU64,
 }
 
 impl DcServer {
@@ -78,7 +90,21 @@ impl DcServer {
             next_token: AtomicU64::new(1),
             telemetry: WireTelemetry::new(),
             trace: std::sync::OnceLock::new(),
+            live: AtomicU64::new(0),
         }
+    }
+
+    /// Count one live connection until the returned [`Attachment`] drops.
+    pub(crate) fn attach(self: &Arc<Self>) -> Attachment {
+        self.live.fetch_add(1, Ordering::AcqRel);
+        Attachment(self.clone())
+    }
+
+    /// The frame handler an inline loopback connection runs. The handler
+    /// holds an [`Attachment`] for as long as any connection uses it.
+    pub(crate) fn handler(self: &Arc<Self>) -> rpc::Handler {
+        let attached = self.attach();
+        Arc::new(move |raw: &[u8]| attached.0.serve_frame(raw))
     }
 
     /// Attach a trace journal; wire request/reply/disconnect events are
@@ -110,8 +136,8 @@ impl DcServer {
         self.held_ops.lock().len() + self.held_tables.lock().len()
     }
 
-    /// Drop every parked guard — the connection-teardown duty. A transport
-    /// that loses its client calls this so half-finished prepares release
+    /// Drop every parked guard — the client-teardown duty (last
+    /// connection gone, or a crash), so half-finished prepares release
     /// their latches instead of wedging every later writer. Returns the
     /// number of guards released; each release is traced.
     pub fn release_all(&self) -> u64 {
@@ -145,63 +171,37 @@ impl DcServer {
         }
     }
 
-    /// Serve one framed request, returning the framed reply. Transport
-    /// layers call only this. Codec failures (bad frame, bad tag) come
-    /// back as framed `Err` replies, not panics — a corrupt message must
-    /// not take the DC down.
-    ///
-    /// Inside the frame both directions carry the request-id envelope
-    /// ([`envelope`]): 8 little-endian bytes of client-chosen request id,
-    /// echoed verbatim on the reply so the client can pair responses and
-    /// detect protocol desync. Every exchange lands in the server's
-    /// [`WireTelemetry`] under its request tag (tag 0 collects frames too
-    /// corrupt to attribute).
-    pub fn serve_frame(&self, request: &[u8]) -> Vec<u8> {
-        let start = Instant::now();
-        let mut req_id = 0u64;
+    /// Serve one raw request frame, returning the sealed reply frame.
+    /// Codec failures (bad frame, bad tag) come back as typed error
+    /// replies, not panics — a corrupt message must not take the DC down
+    /// (see [`rpc::serve_frame`] for which request id each one echoes).
+    /// Every exchange lands in the server's [`WireTelemetry`] under its
+    /// request tag (tag 0 collects frames too corrupt to attribute).
+    pub fn serve_frame(&self, raw: &[u8]) -> Vec<u8> {
         let mut tag = 0u8;
-        let mut req_len = 0usize;
-        let parsed = unframe(request)
-            .map_err(|e| format!("wire: {e}"))
-            .and_then(|payload| open_envelope(payload).map_err(|e| format!("wire: {e}")))
-            .and_then(|(id, body)| {
-                req_id = id;
-                req_len = body.len();
-                DcRequest::decode_with_eosl(body).map_err(|e| format!("wire: {e}"))
-            });
-        let reply = match parsed {
-            Ok((req, eosl)) => {
-                // Publish the piggybacked EOSL before the request can
-                // trigger a flush (monotone: a stale value is a no-op).
-                if eosl > Lsn::NULL {
-                    self.inner.eosl(eosl);
-                }
-                tag = req.tag();
-                if let Some(t) = self.trace() {
-                    t.emit(EventKind::WireRequest {
-                        req_id,
-                        op: tag as u64,
-                        bytes: req_len as u64,
-                    });
-                }
-                self.serve(req)
+        let (reply, ex) = rpc::serve_frame(raw, |req_id, (req, eosl): (DcRequest, Lsn), bytes| {
+            // Publish the piggybacked EOSL before the request can trigger
+            // a flush (monotone: a stale value is a no-op).
+            if eosl > Lsn::NULL {
+                self.inner.eosl(eosl);
             }
-            Err(msg) => DcReply::Err(WireError::RecoveryInvariant(msg)),
-        };
-        let rep_body = reply.encode();
-        let ok = !matches!(reply, DcReply::Err(_));
-        let lat_us = start.elapsed().as_micros() as u64;
-        self.telemetry.record(tag, req_len, rep_body.len(), lat_us, ok);
+            tag = req.tag();
+            if let Some(t) = self.trace() {
+                t.emit(EventKind::WireRequest { req_id, op: tag as u64, bytes: bytes as u64 });
+            }
+            self.serve(req)
+        });
+        self.telemetry.record(tag, ex.req_bytes, ex.rep_bytes, ex.lat_us, ex.ok);
         if let Some(t) = self.trace() {
             t.emit(EventKind::WireReply {
-                req_id,
+                req_id: ex.req_id,
                 op: tag as u64,
-                bytes: rep_body.len() as u64,
-                lat_us,
-                ok,
+                bytes: ex.rep_bytes as u64,
+                lat_us: ex.lat_us,
+                ok: ex.ok,
             });
         }
-        frame(&envelope(req_id, &rep_body))
+        reply
     }
 
     /// Dispatch one decoded request.
@@ -237,8 +237,20 @@ impl DcServer {
         token
     }
 
+    /// Drop the guard parked as `token`, if any — idempotent, so a release
+    /// raced by a disconnect cleanup finds nothing and that is fine.
+    fn release<T>(&self, held: &Mutex<HashMap<u64, T>>, token: u64) -> DcReply {
+        if held.lock().remove(&token).is_some() {
+            if let Some(t) = self.trace() {
+                t.emit(EventKind::TokenRelease { token });
+            }
+        }
+        DcReply::Unit
+    }
+
     fn dispatch(&self, req: DcRequest) -> Result<DcReply> {
         let dc = &self.inner;
+        let unit = |()| DcReply::Unit;
         Ok(match req {
             DcRequest::Read { table, key } => DcReply::Value(dc.read(table, key)?),
             DcRequest::ReadRange { table, from, to } => {
@@ -250,23 +262,13 @@ impl DcServer {
                 let (token, pid, before) = self.park_op(op);
                 DcReply::Prepared { token, pid, before }
             }
-            DcRequest::ReleaseOp { token } => {
-                // Idempotent: a release raced by a disconnect cleanup finds
-                // nothing and that is fine.
-                if self.held_ops.lock().remove(&token).is_some() {
-                    if let Some(t) = self.trace() {
-                        t.emit(EventKind::TokenRelease { token });
-                    }
-                }
-                DcReply::Unit
-            }
+            DcRequest::ReleaseOp { token } => self.release(&self.held_ops, token),
             DcRequest::PrepareWrite { table, key, intent } => {
-                DcReply::info(dc.prepare_write(table, key, intent.into())?)
+                DcReply::Info(dc.prepare_write(table, key, intent.into())?)
             }
             DcRequest::Apply { token: 0, rec } => {
                 let pid = rec.payload.data_pid().unwrap_or(PageId(0));
-                dc.apply(PreparedOp::unguarded(pid), &rec)?;
-                DcReply::Unit
+                dc.apply(PreparedOp::unguarded(pid), &rec).map(unit)?
             }
             DcRequest::Apply { token, rec } => {
                 // Claim the parked guard first: a stale or unknown token is
@@ -278,17 +280,10 @@ impl DcServer {
                 if let Some(t) = self.trace() {
                     t.emit(EventKind::TokenRelease { token });
                 }
-                applied?;
-                DcReply::Unit
+                applied.map(unit)?
             }
-            DcRequest::ApplyAt { pid, rec } => {
-                dc.apply_at(pid, &rec)?;
-                DcReply::Unit
-            }
-            DcRequest::Rssp { rssp_lsn } => {
-                dc.rssp(rssp_lsn)?;
-                DcReply::Unit
-            }
+            DcRequest::ApplyAt { pid, rec } => dc.apply_at(pid, &rec).map(unit)?,
+            DcRequest::Rssp { rssp_lsn } => dc.rssp(rssp_lsn).map(unit)?,
             DcRequest::DrainInFlightOps => {
                 dc.drain_in_flight_ops();
                 DcReply::Unit
@@ -300,10 +295,7 @@ impl DcServer {
                 dc.crash();
                 DcReply::Unit
             }
-            DcRequest::ReloadCatalog => {
-                dc.reload_catalog()?;
-                DcReply::Unit
-            }
+            DcRequest::ReloadCatalog => dc.reload_catalog().map(unit)?,
             DcRequest::PumpEvents => {
                 dc.pump_events();
                 DcReply::Unit
@@ -320,36 +312,20 @@ impl DcServer {
             DcRequest::OverDirtyWatermark => DcReply::Flag(dc.over_dirty_watermark()),
             DcRequest::CompactPass => DcReply::Count(dc.compact_pass()? as u64),
             DcRequest::OverGarbageWatermark => DcReply::Flag(dc.over_garbage_watermark()),
-            DcRequest::CreateTable { table } => {
-                dc.create_table(table)?;
-                DcReply::Unit
-            }
-            DcRequest::RegisterTable { table, root } => {
-                dc.register_table(table, root)?;
-                DcReply::Unit
-            }
+            DcRequest::CreateTable { table } => dc.create_table(table).map(unit)?,
+            DcRequest::RegisterTable { table, root } => dc.register_table(table, root).map(unit)?,
             DcRequest::TableRoot { table } => DcReply::Pid(dc.table_root(table)?),
             DcRequest::SetRoot { table, root } => {
                 dc.set_root(table, root);
                 DcReply::Unit
             }
-            DcRequest::SaveCatalog { lsn } => {
-                dc.save_catalog(lsn)?;
-                DcReply::Unit
-            }
+            DcRequest::SaveCatalog { lsn } => dc.save_catalog(lsn).map(unit)?,
             DcRequest::Tables => DcReply::TableIds(dc.tables()),
             DcRequest::LockTableExclusive { table } => {
                 let guard = dc.lock_table_exclusive(table);
                 DcReply::TableLocked { token: self.park_table(guard) }
             }
-            DcRequest::ReleaseTable { token } => {
-                if self.held_tables.lock().remove(&token).is_some() {
-                    if let Some(t) = self.trace() {
-                        t.emit(EventKind::TokenRelease { token });
-                    }
-                }
-                DcReply::Unit
-            }
+            DcRequest::ReleaseTable { token } => self.release(&self.held_tables, token),
             DcRequest::VerifyTable { table } => DcReply::Summary(dc.verify_table(table)?),
             DcRequest::SmoRedo { window } => {
                 let (applied, skipped) = dc.smo_redo(&window)?;
@@ -362,43 +338,34 @@ impl DcServer {
                 DcReply::SmoReplayed { moved_root, outcome }
             }
             DcRequest::ResolveRedoPid { table, key, logged_pid } => {
-                DcReply::located(dc.resolve_redo_pid(table, key, logged_pid)?)
+                DcReply::LocatedAt(dc.resolve_redo_pid(table, key, logged_pid)?)
             }
-            DcRequest::LocateKey { table, key } => DcReply::located(dc.locate_key(table, key)?),
-            DcRequest::PreloadIndex => DcReply::preload(dc.preload_index()?),
-            DcRequest::FinishRedo => {
-                dc.finish_redo()?;
-                DcReply::Unit
-            }
+            DcRequest::LocateKey { table, key } => DcReply::LocatedAt(dc.locate_key(table, key)?),
+            DcRequest::PreloadIndex => DcReply::Preload(dc.preload_index()?),
+            DcRequest::FinishRedo => dc.finish_redo().map(unit)?,
             DcRequest::Stats => DcReply::Stats(Box::new(dc.stats())),
             DcRequest::Introspect => DcReply::WireTelemetry(self.telemetry.snapshot()),
         })
     }
 }
 
-/// Prefix `body` with the 8-byte little-endian request id — the payload
-/// shape both directions of the wire carry inside the frame.
-pub fn envelope(req_id: u64, body: &[u8]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(8 + body.len());
-    p.extend_from_slice(&req_id.to_le_bytes());
-    p.extend_from_slice(body);
-    p
-}
+/// One live connection to a [`DcServer`] ([`DcServer::attach`]). When
+/// the last attachment drops, the client is gone and the server runs its
+/// orphaned-guard cleanup.
+pub(crate) struct Attachment(Arc<DcServer>);
 
-/// Split an unframed payload into its request id and message body.
-pub fn open_envelope(payload: &[u8]) -> std::result::Result<(u64, &[u8]), String> {
-    if payload.len() < 8 {
-        return Err("payload missing request id".to_string());
+impl Attachment {
+    pub(crate) fn server(&self) -> &Arc<DcServer> {
+        &self.0
     }
-    let (id, body) = payload.split_at(8);
-    Ok((u64::from_le_bytes(id.try_into().expect("8-byte split")), body))
 }
 
-/// Map a client-side codec failure (corrupt reply frame) into the
-/// workspace error type. Mirrors the server's handling of corrupt
-/// requests.
-pub fn wire_error(e: lr_common::codec::CodecError) -> Error {
-    Error::RecoveryInvariant(format!("wire: {e}"))
+impl Drop for Attachment {
+    fn drop(&mut self) {
+        if self.0.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.disconnect();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +373,8 @@ mod tests {
     use super::*;
     use crate::dc::{DataComponent, DcConfig};
     use crate::wire::WireIntent;
+    use lr_common::codec::{frame, unframe};
+    use lr_common::rpc::{envelope, open_envelope};
     use lr_common::{IoModel, Lsn, SimClock, TableId, TxnId};
     use lr_storage::SimDisk;
     use lr_wal::{LogPayload, LogRecord, Wal};
@@ -528,7 +497,7 @@ mod tests {
     }
 
     fn send_with_eosl(srv: &DcServer, req: DcRequest, eosl: Lsn) {
-        srv.serve_frame(&frame(&envelope(1, &req.encode_with_eosl(eosl))));
+        srv.serve_frame(&frame(&envelope(1, &req.encode_with(&eosl))));
     }
 
     #[test]

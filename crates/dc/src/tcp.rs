@@ -1,112 +1,52 @@
 //! Real-socket deployment of the TC↔DC wire: a [`DcServer`] behind a
-//! loopback [`std::net::TcpListener`] with thread-per-connection dispatch,
-//! and a [`TcpTransport`] implementing [`Transport`] over a pool of
-//! `TcpStream`s.
+//! loopback TCP port with thread-per-connection dispatch (the shared
+//! [`rpc::Acceptor`]), dialed by a [`Transport`] whose pool holds
+//! [`rpc::TcpConn`]s.
 //!
-//! ## Why a connection *pool* and not one shared stream
+//! Each frame leaves in one `write` and each side reads through a
+//! per-stream buffer, so one `read` normally returns a whole frame.
+//! Together with the apply-consumes-token and piggybacked-EOSL protocol
+//! (see [`crate::remote`]), a 2-update transaction crosses this socket in
+//! six exchanges of two syscalls per side.
 //!
-//! A naive transport — one `TcpStream` behind a mutex — deadlocks: caller
-//! A's dispatch can block server-side (e.g. waiting on a latch a parked
-//! guard holds) while caller B, queued on the transport mutex behind A's
-//! in-flight exchange, is the very caller whose `Apply` (or `ReleaseOp`)
-//! would free that guard and unblock A. Each exchange therefore checks a stream out of the pool (dialing a
-//! fresh one when the pool is empty), so blocked exchanges never gate
-//! other exchanges, and the server's thread-per-connection accept loop
-//! dispatches them concurrently — exactly the shape a production front
-//! end has.
-//!
-//! ## Syscalls per exchange
-//!
-//! Frames already leave as one buffer (header, CRC and body together), so
-//! each side writes a message with one `write`. Each side also reads
-//! through a per-stream [`BufReader`], so one `read` normally returns a
-//! whole frame. Together with the apply-consumes-token and piggybacked-EOSL
-//! protocol (see [`crate::remote`]), a 2-update transaction crosses this
-//! socket in six exchanges of two syscalls per side.
-//!
-//! ## Client-death semantics
-//!
-//! Parked guard tokens live in the [`DcServer`], not in any one
-//! connection, so a single connection closing must NOT release them (its
-//! stream may simply have been retired from the pool). The server instead
-//! treats "last live connection gone" as "the client process is gone" and
-//! runs the [`DcServer::disconnect`] cleanup — the transport dials its
-//! first stream eagerly at construction and keeps it pooled for the
-//! transport's lifetime, so the live count stays positive while the
-//! client is alive.
+//! Corrupt *streams* (torn header, oversized length prefix) drop the
+//! connection, while corrupt *frames* (bad CRC, garbage payload) arrive
+//! intact and come back as typed error replies. Each serve thread holds an
+//! [`crate::server::Attachment`], so when the client's last connection
+//! closes the server releases the guards it left parked; the transport
+//! keeps its first connection pooled, which holds the count above zero
+//! while the client is alive.
 
 use crate::api::DcApi;
+use crate::backend::Deployment;
 use crate::remote::{RemoteDc, Transport};
 use crate::server::DcServer;
-use lr_common::codec::read_raw_frame_from;
-use lr_common::{Error, Result};
-use lr_obs::TraceSink;
-use parking_lot::Mutex;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use lr_common::rpc::{self, Acceptor, Conn, TcpConn, TcpPort};
+use lr_common::Result;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// Idle streams kept for reuse; beyond this, returned streams are closed.
-/// Deep enough that a fleet of concurrent sessions plus their guard-drop
-/// traffic reuses connections instead of re-dialing per call.
-const POOL_CAP: usize = 16;
-
-/// A [`DcServer`] listening on an OS-assigned loopback port. Each
-/// accepted connection gets its own thread running the read-frame →
-/// `serve_frame` → write-frame loop; corrupt *streams* (torn header,
-/// oversized length prefix) drop the connection, while corrupt *frames*
-/// (bad CRC, garbage payload) arrive intact and come back as typed error
-/// replies from [`DcServer::serve_frame`].
+/// A [`DcServer`] listening on an OS-assigned loopback port. Dropping it
+/// stops accepting; connection threads end when their clients hang up.
 pub struct TcpDcServer {
     server: Arc<DcServer>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    _acceptor: Acceptor,
 }
 
 impl TcpDcServer {
     /// Bind `127.0.0.1:0` and start accepting.
     pub fn spawn(server: Arc<DcServer>) -> Result<TcpDcServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicU64::new(0));
-        let accept_thread = {
-            let server = server.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("lr-dc-tcp-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let server = server.clone();
-                        let conn_live = live.clone();
-                        live.fetch_add(1, Ordering::AcqRel);
-                        let spawned = std::thread::Builder::new()
-                            .name("lr-dc-tcp-conn".into())
-                            .spawn(move || {
-                                serve_conn(&server, stream);
-                                // Last live connection gone ⇒ the client
-                                // (which pins one stream for its whole
-                                // lifetime) is gone: orphaned guards must
-                                // not outlive it.
-                                if conn_live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    server.disconnect();
-                                }
-                            });
-                        if spawned.is_err() {
-                            live.fetch_sub(1, Ordering::AcqRel);
-                        }
-                    }
-                })
-                .map_err(|e| Error::Io(std::io::Error::other(e)))?
-        };
-        Ok(TcpDcServer { server, addr, stop, accept_thread: Some(accept_thread) })
+        let port = Arc::new(TcpPort::bind_loopback()?);
+        let addr = port.addr();
+        let serving = server.clone();
+        let acceptor = Acceptor::spawn("lr-dc-tcp", port, move |mut conn| {
+            let attached = serving.attach();
+            Box::new(move || {
+                rpc::serve_conn(conn.as_mut(), |raw| attached.server().serve_frame(raw))
+            })
+        })?;
+        Ok(TcpDcServer { server, addr, _acceptor: acceptor })
     }
 
     /// The bound loopback address clients dial.
@@ -120,163 +60,6 @@ impl TcpDcServer {
     }
 }
 
-impl Drop for TcpDcServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // `TcpListener::accept` has no portable interrupt: wake the loop
-        // with a throwaway self-connection so it observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One connection's serve loop: frames in, replies out, until the peer
-/// closes or the stream turns unreadable. Requests are read through a
-/// [`BufReader`] (one `read` normally yields a whole frame) and each reply
-/// leaves as one framed buffer (one `write`).
-fn serve_conn(server: &DcServer, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let mut stream = BufReader::new(stream);
-    loop {
-        let frame = match read_raw_frame_from(&mut stream) {
-            Ok(Some(f)) => f,
-            // Clean close, torn frame, or oversized length prefix: this
-            // connection is done. Guard cleanup is the accept loop's
-            // last-connection accounting, not ours.
-            Ok(None) | Err(_) => return,
-        };
-        let reply = server.serve_frame(&frame);
-        if stream.get_mut().write_all(&reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// [`Transport`] over loopback TCP: a pool of streams to a
-/// [`TcpDcServer`], one checked out per in-flight exchange. Each pooled
-/// stream keeps its own [`BufReader`], so a reply costs one `read` and
-/// buffered bytes never leak between exchanges (a stream is only pooled
-/// after its reply has been read in full).
-pub struct TcpTransport {
-    addr: SocketAddr,
-    pool: Mutex<Vec<BufReader<TcpStream>>>,
-    connected: AtomicBool,
-    /// Keeps a co-located server deployment alive for the transport's
-    /// lifetime (and reachable for `set_trace`); `None` when dialing an
-    /// address some other process owns.
-    deployment: Option<Arc<TcpDcServer>>,
-}
-
-impl TcpTransport {
-    /// Dial a server by address. The first stream is established eagerly —
-    /// both to fail fast and to pin the server's live-connection count
-    /// above zero for this transport's lifetime.
-    pub fn connect(addr: SocketAddr) -> Result<TcpTransport> {
-        Self::build(addr, None)
-    }
-
-    /// Dial a co-located [`TcpDcServer`], tying its lifetime to the
-    /// transport's.
-    pub fn connect_deployment(deployment: Arc<TcpDcServer>) -> Result<TcpTransport> {
-        Self::build(deployment.addr(), Some(deployment))
-    }
-
-    fn build(addr: SocketAddr, deployment: Option<Arc<TcpDcServer>>) -> Result<TcpTransport> {
-        let first = Self::dial(addr)?;
-        Ok(TcpTransport {
-            addr,
-            pool: Mutex::new(vec![first]),
-            connected: AtomicBool::new(true),
-            deployment,
-        })
-    }
-
-    fn dial(addr: SocketAddr) -> Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        Ok(BufReader::new(stream))
-    }
-
-    /// Sever the connection: close every pooled stream and fail all
-    /// subsequent calls with a broken-pipe error. Once in-flight
-    /// exchanges drain, the server's last-connection accounting runs its
-    /// orphaned-guard cleanup — the same semantics as
-    /// [`crate::remote::LoopbackTransport::disconnect`].
-    pub fn disconnect(&self) {
-        self.connected.store(false, Ordering::Release);
-        self.pool.lock().clear();
-    }
-
-    pub fn is_connected(&self) -> bool {
-        self.connected.load(Ordering::Acquire)
-    }
-
-    /// The co-located server deployment, when this transport owns one
-    /// (tests watch its guard table across disconnects).
-    pub fn deployment(&self) -> Option<&Arc<TcpDcServer>> {
-        self.deployment.as_ref()
-    }
-
-    fn checkout(&self) -> Result<BufReader<TcpStream>> {
-        if !self.is_connected() {
-            return Err(Error::Io(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "DC transport disconnected",
-            )));
-        }
-        if let Some(stream) = self.pool.lock().pop() {
-            return Ok(stream);
-        }
-        Self::dial(self.addr)
-    }
-
-    fn checkin(&self, stream: BufReader<TcpStream>) {
-        if !self.is_connected() {
-            return;
-        }
-        let mut pool = self.pool.lock();
-        if pool.len() < POOL_CAP {
-            pool.push(stream);
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-        let mut stream = self.checkout()?;
-        stream.get_mut().write_all(request)?;
-        let reply = read_raw_frame_from(&mut stream)?.ok_or_else(|| {
-            Error::Io(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "DC server closed the connection",
-            ))
-        })?;
-        // Errored streams are dropped (their server thread sees EOF);
-        // only a stream that completed its exchange goes back in the
-        // pool.
-        self.checkin(stream);
-        Ok(reply)
-    }
-
-    fn server(&self) -> Option<Arc<DcServer>> {
-        self.deployment.as_ref().map(|dep| dep.server().clone())
-    }
-
-    fn set_trace(&self, sink: TraceSink) {
-        if let Some(dep) = &self.deployment {
-            dep.server().set_trace(sink);
-        }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.disconnect();
-    }
-}
-
 /// Wrap a backend in a full TCP message deployment: frame server in its
 /// own accept/connection threads, socket transport, proxy. The engine
 /// talks to the returned [`RemoteDc`] exactly as it talks to a loopback
@@ -285,15 +68,14 @@ impl Drop for TcpTransport {
 pub fn tcp_deploy(
     inner: Arc<dyn DcApi>,
     name: &'static str,
-) -> Result<(Arc<RemoteDc>, Arc<TcpTransport>)> {
+) -> Result<(Arc<RemoteDc>, Arc<Transport>)> {
     let server = Arc::new(DcServer::new(inner.clone()));
-    let deployment = Arc::new(TcpDcServer::spawn(server)?);
-    let transport = Arc::new(TcpTransport::connect_deployment(deployment)?);
-    Ok((Arc::new(RemoteDc::with_redeploy(transport.clone(), inner, name, tcp_redeploy)), transport))
-}
-
-fn tcp_redeploy(inner: Arc<dyn DcApi>, name: &'static str) -> Result<Arc<dyn DcApi>> {
-    Ok(tcp_deploy(inner, name)?.0)
+    let deployment = TcpDcServer::spawn(server.clone())?;
+    // The dialer owns the deployment: the socket server lives exactly as
+    // long as the transport can dial it.
+    let dial = Box::new(move || Ok(Box::new(TcpConn::dial(deployment.addr())?) as Box<dyn Conn>));
+    let transport = Arc::new(Transport::dialing(dial, Some(server))?);
+    Ok((Arc::new(RemoteDc::new(transport.clone(), inner, name, Deployment::Tcp)), transport))
 }
 
 #[cfg(test)]
@@ -301,7 +83,6 @@ mod tests {
     use super::*;
     use crate::dc::{DataComponent, DcConfig};
     use crate::wire::{DcReply, DcRequest, WireError, WireIntent};
-    use lr_common::codec::{frame, unframe};
     use lr_common::{IoModel, SimClock, TableId};
     use lr_storage::SimDisk;
     use lr_wal::Wal;
@@ -317,13 +98,8 @@ mod tests {
         Arc::new(dc)
     }
 
-    fn roundtrip(transport: &TcpTransport, req_id: u64, req: &DcRequest) -> DcReply {
-        let framed = frame(&crate::server::envelope(req_id, &req.encode()));
-        let reply = transport.call(&framed).unwrap();
-        let payload = unframe(&reply).unwrap();
-        let (echo, body) = crate::server::open_envelope(payload).unwrap();
-        assert_eq!(echo, req_id);
-        DcReply::decode(body).unwrap()
+    fn roundtrip(transport: &Transport, req_id: u64, req: &DcRequest) -> DcReply {
+        transport.call(req_id, &req.encode()).unwrap().0
     }
 
     #[test]
@@ -338,7 +114,6 @@ mod tests {
     #[test]
     fn concurrent_callers_get_their_own_streams() {
         let (_dc, transport) = tcp_deploy(test_backend(), "tcp-test").unwrap();
-        let transport = Arc::new(transport);
         let threads: Vec<_> = (0..8)
             .map(|i| {
                 let t = transport.clone();
@@ -360,13 +135,14 @@ mod tests {
 
     #[test]
     fn corrupt_frame_gets_typed_reply_not_a_dropped_connection() {
-        let (_dc, transport) = tcp_deploy(test_backend(), "tcp-test").unwrap();
-        let mut framed = frame(&crate::server::envelope(3, &DcRequest::Stats.encode()));
+        let tcp = TcpDcServer::spawn(Arc::new(DcServer::new(test_backend()))).unwrap();
+        let mut conn = TcpConn::dial(tcp.addr()).unwrap();
+        let mut framed = rpc::seal(3, &DcRequest::Stats.encode());
         let last = framed.len() - 1;
         framed[last] ^= 0x40; // body bit-flip: CRC check fails server-side
-        let reply = transport.call(&framed).unwrap();
-        let payload = unframe(&reply).unwrap();
-        let (echo, body) = crate::server::open_envelope(payload).unwrap();
+        conn.send(framed).unwrap();
+        let reply = conn.recv().unwrap().unwrap();
+        let (echo, body) = rpc::open(&reply).unwrap();
         assert_eq!(echo, 0, "server cannot trust a corrupt frame's request id");
         match DcReply::decode(body).unwrap() {
             DcReply::Err(WireError::RecoveryInvariant(msg)) => {
@@ -375,7 +151,7 @@ mod tests {
             other => panic!("expected wire error, got {other:?}"),
         }
         // The same connection still serves well-formed frames.
-        match roundtrip(&transport, 4, &DcRequest::Stats) {
+        match rpc::call(&mut conn, 4, &DcRequest::Stats.encode()).unwrap().0 {
             DcReply::Stats(_) => {}
             other => panic!("expected Stats reply, got {other:?}"),
         }
@@ -390,11 +166,11 @@ mod tests {
             DcReply::Prepared { .. } => {}
             other => panic!("expected Prepared, got {other:?}"),
         }
-        let server = transport.deployment().unwrap().server().clone();
+        let server = transport.server().unwrap();
         assert_eq!(server.held_guards(), 1);
         transport.disconnect();
-        let framed = frame(&crate::server::envelope(2, &DcRequest::Stats.encode()));
-        assert!(transport.call(&framed).is_err(), "calls must fail after disconnect");
+        let stats = DcRequest::Stats.encode();
+        assert!(transport.call(2, &stats).is_err(), "calls must fail after disconnect");
         // Guard cleanup is asynchronous: the connection threads observe
         // EOF, and the last one out runs the orphaned-guard release.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);

@@ -10,8 +10,7 @@
 //! DC's view of the conversation without shared memory.
 
 use crate::wire::{op_name, MAX_REQ_TAG};
-use lr_common::codec::{CodecError, Decoder, Encoder};
-use lr_common::Histogram;
+use lr_common::{wire_struct, Histogram};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -121,35 +120,10 @@ impl WireTelemetrySnapshot {
     pub fn total_count(&self) -> u64 {
         self.ops.iter().map(|o| o.count).sum()
     }
-
-    pub fn encode_into(&self, e: &mut Encoder) {
-        e.put_u32(self.ops.len() as u32);
-        for op in &self.ops {
-            e.put_u8(op.op);
-            e.put_u64(op.count);
-            e.put_u64(op.errors);
-            e.put_u64(op.req_bytes);
-            e.put_u64(op.rep_bytes);
-            op.lat_us.encode_into(e);
-        }
-    }
-
-    pub fn decode_from(d: &mut Decoder<'_>) -> Result<WireTelemetrySnapshot, CodecError> {
-        let n = d.get_u32()? as usize;
-        let mut ops = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            ops.push(WireOpStats {
-                op: d.get_u8()?,
-                count: d.get_u64()?,
-                errors: d.get_u64()?,
-                req_bytes: d.get_u64()?,
-                rep_bytes: d.get_u64()?,
-                lat_us: Histogram::decode_from(d)?,
-            });
-        }
-        Ok(WireTelemetrySnapshot { ops })
-    }
 }
+
+wire_struct!(WireOpStats { op, count, errors, req_bytes, rep_bytes, lat_us });
+wire_struct!(WireTelemetrySnapshot { ops });
 
 #[cfg(test)]
 mod tests {
@@ -176,11 +150,8 @@ mod tests {
         t.record(5, 100, 2, 3, true);
         t.record(35, 1, 400, 9, true);
         let snap = t.snapshot();
-        let mut e = Encoder::with_capacity(64);
-        snap.encode_into(&mut e);
-        let bytes = e.finish();
-        let mut d = Decoder::new(&bytes);
-        let back = WireTelemetrySnapshot::decode_from(&mut d).unwrap();
+        let bytes = lr_common::codec::to_bytes(&snap);
+        let back: WireTelemetrySnapshot = lr_common::codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
     }
 

@@ -6,9 +6,9 @@
 //! protocol, not a shared-memory API. This module pins that down: a
 //! [`DcRequest`] names one logical operation and its arguments, a
 //! [`DcReply`] carries the result (or a [`WireError`] mirroring
-//! [`lr_common::Error`]), and both encode through the workspace codec into
-//! the length-prefixed CRC-checked frame format of
-//! [`lr_common::codec::frame`].
+//! [`lr_common::Error`]). Each enum is one [`lr_common::wire_enum!`]
+//! table, which generates its tags, names and codec; both travel on the
+//! shared RPC stack ([`lr_common::rpc`]).
 //!
 //! Two trait methods need reshaping for message passing, because their
 //! local signatures hand out borrow-carrying guards:
@@ -30,145 +30,101 @@
 //! took would be unsound.
 //!
 //! One trait method has no message of its own: [`crate::DcApi::eosl`].
-//! Every request carries the client's EOSL watermark in its last 8 bytes
-//! (see [`DcRequest::encode_with_eosl`]), and the server publishes it to
-//! the backend before dispatching the request. EOSL is monotone and only
-//! gates flushing, and every flush the DC performs (eviction, cleaner pass,
-//! RSSP) runs inside some request — which already carries the latest
-//! watermark. So the write-ahead gate holds without an EOSL round trip.
+//! Every request carries the client's EOSL watermark as its trailer, the
+//! last 8 bytes of the body ([`DcRequest::encode_with`]), and the server
+//! publishes it to the backend before dispatching the request. EOSL is
+//! monotone and only gates flushing, and every flush the DC performs
+//! (eviction, cleaner pass, RSSP) runs inside some request — which already
+//! carries the latest watermark. So the write-ahead gate holds without an
+//! EOSL round trip.
 
 use crate::api::{Located, PreloadStats, TableSummary};
 use crate::dc::{DcStats, PrepareInfo, WriteIntent};
 use crate::dpt::Dpt;
 use crate::recovery::SmoBarrierOutcome;
 use crate::telemetry::WireTelemetrySnapshot;
-use lr_common::codec::{CodecError, Decoder, Encoder};
-use lr_common::{Error, Histogram, Key, Lsn, PageId, TableId, Value};
-use lr_wal::{LogPayload, LogRecord, SmoRecord};
+use lr_common::codec::{CodecError, Decoder, Encoder, Field};
+use lr_common::rpc::Reply;
+use lr_common::{wire_enum, wire_struct, Key, Lsn, PageId, TableId, Value};
+use lr_wal::{LogRecord, SmoRecord};
 
-// ----------------------------------------------------------------------
-// requests
-// ----------------------------------------------------------------------
+pub use lr_common::rpc::WireError;
 
-/// One logical operation crossing the TC→DC boundary. Variants map 1:1
-/// onto [`crate::DcApi`] methods except for the two token-based reshapes
-/// described in the module docs ([`DcRequest::ReleaseOp`] /
-/// [`DcRequest::ReleaseTable`]) and [`DcRequest::Stats`], which carries
-/// the [`crate::DcIntrospect::stats`] snapshot for deployments where the
-/// DC's counters live on the far side.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DcRequest {
-    Read {
-        table: TableId,
-        key: Key,
-    },
-    ReadRange {
-        table: TableId,
-        from: Key,
-        to: Key,
-    },
-    ScanAll {
-        table: TableId,
-    },
-    PrepareOp {
-        table: TableId,
-        key: Key,
-        intent: WireIntent,
-    },
-    /// Drop the server-held guard of a parked [`DcReply::Prepared`]
-    /// that will never be applied.
-    ReleaseOp {
-        token: u64,
-    },
-    PrepareWrite {
-        table: TableId,
-        key: Key,
-        intent: WireIntent,
-    },
-    /// Apply `rec` under the guard parked as `token`, then drop that
-    /// guard. Token 0 names no guard: an unguarded apply, for callers that
-    /// staged through `PrepareWrite`.
-    Apply {
-        token: u64,
-        rec: LogRecord,
-    },
-    ApplyAt {
-        pid: PageId,
-        rec: LogRecord,
-    },
-    Rssp {
-        rssp_lsn: Lsn,
-    },
-    DrainInFlightOps,
-    Crash,
-    ReloadCatalog,
-    PumpEvents,
-    ForceEmit,
-    DiscardEvents,
-    CleanerPass,
-    OverDirtyWatermark,
-    CompactPass,
-    OverGarbageWatermark,
-    CreateTable {
-        table: TableId,
-    },
-    RegisterTable {
-        table: TableId,
-        root: PageId,
-    },
-    TableRoot {
-        table: TableId,
-    },
-    SetRoot {
-        table: TableId,
-        root: PageId,
-    },
-    SaveCatalog {
-        lsn: Lsn,
-    },
-    Tables,
-    LockTableExclusive {
-        table: TableId,
-    },
-    /// Drop the server-held latch of a parked [`DcReply::TableLocked`].
-    ReleaseTable {
-        token: u64,
-    },
-    VerifyTable {
-        table: TableId,
-    },
-    SmoRedo {
-        window: Vec<LogRecord>,
-    },
-    ReplaySmoScreened {
-        lsn: Lsn,
-        smo: SmoRecord,
-        dpt: WireDpt,
-    },
-    ResolveRedoPid {
-        table: TableId,
-        key: Key,
-        logged_pid: PageId,
-    },
-    LocateKey {
-        table: TableId,
-        key: Key,
-    },
-    PreloadIndex,
-    FinishRedo,
-    Stats,
-    /// Pull the server's [`WireTelemetrySnapshot`] — its per-op view of
-    /// this conversation — across the boundary.
-    Introspect,
+wire_enum! {
+    /// One logical operation crossing the TC→DC boundary, followed on the
+    /// wire by the client's EOSL watermark. Variants map 1:1 onto
+    /// [`crate::DcApi`] methods except for the two token-based reshapes
+    /// described in the module docs ([`DcRequest::ReleaseOp`] /
+    /// [`DcRequest::ReleaseTable`]) and [`DcRequest::Stats`], which carries
+    /// the [`crate::DcIntrospect::stats`] snapshot for deployments where the
+    /// DC's counters live on the far side.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum DcRequest + Lsn as "dc request" {
+        1 read Read { table: TableId, key: Key },
+        2 read_range ReadRange { table: TableId, from: Key, to: Key },
+        3 scan_all ScanAll { table: TableId },
+        4 prepare_op PrepareOp { table: TableId, key: Key, intent: WireIntent },
+        /// Drop the server-held guard of a parked [`DcReply::Prepared`]
+        /// that will never be applied.
+        5 release_op ReleaseOp { token: u64 },
+        6 prepare_write PrepareWrite { table: TableId, key: Key, intent: WireIntent },
+        /// Apply `rec` under the guard parked as `token`, then drop that
+        /// guard. Token 0 names no guard: an unguarded apply, for callers
+        /// that staged through `PrepareWrite`.
+        7 apply Apply { token: u64, rec: LogRecord },
+        8 apply_at ApplyAt { pid: PageId, rec: LogRecord },
+        9 over_garbage_watermark OverGarbageWatermark,
+        10 rssp Rssp { rssp_lsn: Lsn },
+        11 drain_in_flight_ops DrainInFlightOps,
+        12 crash Crash,
+        13 reload_catalog ReloadCatalog,
+        14 pump_events PumpEvents,
+        15 force_emit ForceEmit,
+        16 discard_events DiscardEvents,
+        17 cleaner_pass CleanerPass,
+        18 over_dirty_watermark OverDirtyWatermark,
+        19 create_table CreateTable { table: TableId },
+        20 register_table RegisterTable { table: TableId, root: PageId },
+        21 table_root TableRoot { table: TableId },
+        22 set_root SetRoot { table: TableId, root: PageId },
+        23 save_catalog SaveCatalog { lsn: Lsn },
+        24 tables Tables,
+        25 lock_table_exclusive LockTableExclusive { table: TableId },
+        /// Drop the server-held latch of a parked [`DcReply::TableLocked`].
+        26 release_table ReleaseTable { token: u64 },
+        27 verify_table VerifyTable { table: TableId },
+        28 smo_redo SmoRedo { window: Vec<LogRecord> },
+        29 replay_smo_screened ReplaySmoScreened { lsn: Lsn, smo: SmoRecord, dpt: WireDpt },
+        30 resolve_redo_pid ResolveRedoPid { table: TableId, key: Key, logged_pid: PageId },
+        31 locate_key LocateKey { table: TableId, key: Key },
+        32 preload_index PreloadIndex,
+        33 finish_redo FinishRedo,
+        34 stats Stats,
+        /// Pull the server's [`WireTelemetrySnapshot`] — its per-op view
+        /// of this conversation — across the boundary.
+        35 introspect Introspect,
+        36 compact_pass CompactPass,
+    }
 }
 
-/// [`WriteIntent`] with a fixed-width length (the in-memory type uses
-/// `usize`, which has no portable wire width).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireIntent {
-    Insert { value_len: u64 },
-    Update { value_len: u64 },
-    Delete,
+/// The highest assigned request tag — sizes per-op telemetry tables.
+pub const MAX_REQ_TAG: u8 = DcRequest::MAX_TAG;
+
+/// Human-readable name of a request tag, for telemetry rows and trace
+/// events. Unknown tags render as `"unknown"`.
+pub fn op_name(tag: u8) -> &'static str {
+    DcRequest::name_of(tag)
+}
+
+wire_enum! {
+    /// [`WriteIntent`] with a fixed-width length (the in-memory type uses
+    /// `usize`, which has no portable wire width).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum WireIntent as "write intent" {
+        0 insert Insert { value_len: u64 },
+        1 update Update { value_len: u64 },
+        2 delete Delete,
+    }
 }
 
 impl From<WriteIntent> for WireIntent {
@@ -218,1009 +174,82 @@ impl From<&WireDpt> for Dpt {
     }
 }
 
-// ----------------------------------------------------------------------
-// replies
-// ----------------------------------------------------------------------
-
-/// The result of one [`DcRequest`]. Exactly one reply variant is valid per
-/// request variant; a proxy receiving any other shape treats the exchange
-/// as a protocol violation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DcReply {
-    Unit,
-    Value(Option<Value>),
-    Rows(Vec<(Key, Value)>),
-    /// A prepared write parked server-side: apply with
-    /// [`DcRequest::Apply`]`{token, ..}` once logged (which frees it), or
-    /// release with [`DcRequest::ReleaseOp`]`{token}` to abandon it.
-    Prepared {
-        token: u64,
-        pid: PageId,
-        before: Option<Value>,
-    },
-    /// Latch-free placement info ([`PrepareInfo`]).
-    Info {
-        pid: PageId,
-        before: Option<Value>,
-    },
-    Flag(bool),
-    Count(u64),
-    Pid(PageId),
-    TableIds(Vec<TableId>),
-    /// An exclusive table latch parked server-side: release with
-    /// [`DcRequest::ReleaseTable`]`{token}`.
-    TableLocked {
-        token: u64,
-    },
-    Summary(TableSummary),
-    Pair(u64, u64),
-    SmoReplayed {
-        moved_root: Option<Lsn>,
-        outcome: SmoBarrierOutcome,
-    },
-    LocatedAt {
-        pid: PageId,
-        levels: u32,
-        stall_us: u64,
-    },
-    Preload {
-        pages_loaded: u64,
-        prefetch_ios: u64,
-        prefetch_pages: u64,
-    },
-    // Boxed: a DcStats snapshot (two inline histograms) dwarfs every
-    // other reply shape, and stats crossings are cold-path.
-    Stats(Box<DcStats>),
-    /// The server's per-op wire accumulators ([`DcRequest::Introspect`]).
-    WireTelemetry(WireTelemetrySnapshot),
-    Err(WireError),
-}
-
-impl DcReply {
-    pub fn located(l: Located) -> DcReply {
-        DcReply::LocatedAt { pid: l.pid, levels: l.levels, stall_us: l.stall_us }
+impl Field for WireDpt {
+    fn put(&self, e: &mut Encoder) {
+        self.0.put(e);
     }
 
-    pub fn preload(p: PreloadStats) -> DcReply {
-        DcReply::Preload {
-            pages_loaded: p.pages_loaded,
-            prefetch_ios: p.prefetch_ios,
-            prefetch_pages: p.prefetch_pages,
-        }
-    }
-
-    pub fn info(i: PrepareInfo) -> DcReply {
-        DcReply::Info { pid: i.pid, before: i.before }
+    fn get(d: &mut Decoder<'_>) -> Result<WireDpt, CodecError> {
+        Ok(WireDpt(Field::get(d)?))
     }
 }
 
-// ----------------------------------------------------------------------
-// errors in transit
-// ----------------------------------------------------------------------
+wire_struct!(TableSummary { records, leaf_pages, internal_pages, height });
+wire_struct!(PrepareInfo { pid, before });
+wire_struct!(Located { pid, levels, stall_us });
+wire_struct!(PreloadStats { pages_loaded, prefetch_ios, prefetch_pages });
+wire_struct!(SmoBarrierOutcome { pages_applied, skipped_no_dpt_entry, skipped_rlsn, skipped_plsn });
 
-/// [`lr_common::Error`] flattened for the wire — variant-for-variant, with
-/// the one lossy edge that `Io` carries only the error's message (a raw
-/// `std::io::Error` is not serializable).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    PageOutOfRange { pid: PageId, pages: u64 },
-    PageFull { pid: PageId, needed: u64, free: u64 },
-    KeyNotFound { table: TableId, key: Key },
-    DuplicateKey { table: TableId, key: Key },
-    UnknownTable(TableId),
-    UnknownTxn(lr_common::TxnId),
-    TxnNotActive(lr_common::TxnId),
-    LockConflict { txn: lr_common::TxnId, table: TableId, key: Key },
-    PoolExhausted { capacity: u64 },
-    LogCorrupt { lsn: Lsn, reason: String },
-    WalViolation { pid: PageId, plsn: Lsn, elsn: Lsn },
-    TreeCorrupt(String),
-    RecoveryInvariant(String),
-    ServerBusy { active: u64, cap: u64 },
-    UnknownToken(u64),
-    Io(String),
-}
-
-impl From<&Error> for WireError {
-    fn from(e: &Error) -> WireError {
-        match e {
-            Error::PageOutOfRange { pid, pages } => {
-                WireError::PageOutOfRange { pid: *pid, pages: *pages }
-            }
-            Error::PageFull { pid, needed, free } => {
-                WireError::PageFull { pid: *pid, needed: *needed as u64, free: *free as u64 }
-            }
-            Error::KeyNotFound { table, key } => {
-                WireError::KeyNotFound { table: *table, key: *key }
-            }
-            Error::DuplicateKey { table, key } => {
-                WireError::DuplicateKey { table: *table, key: *key }
-            }
-            Error::UnknownTable(t) => WireError::UnknownTable(*t),
-            Error::UnknownTxn(t) => WireError::UnknownTxn(*t),
-            Error::TxnNotActive(t) => WireError::TxnNotActive(*t),
-            Error::LockConflict { txn, table, key } => {
-                WireError::LockConflict { txn: *txn, table: *table, key: *key }
-            }
-            Error::PoolExhausted { capacity } => {
-                WireError::PoolExhausted { capacity: *capacity as u64 }
-            }
-            Error::LogCorrupt { lsn, reason } => {
-                WireError::LogCorrupt { lsn: *lsn, reason: reason.clone() }
-            }
-            Error::WalViolation { pid, plsn, elsn } => {
-                WireError::WalViolation { pid: *pid, plsn: *plsn, elsn: *elsn }
-            }
-            Error::TreeCorrupt(m) => WireError::TreeCorrupt(m.clone()),
-            Error::RecoveryInvariant(m) => WireError::RecoveryInvariant(m.clone()),
-            Error::ServerBusy { active, cap } => {
-                WireError::ServerBusy { active: *active, cap: *cap }
-            }
-            Error::UnknownToken(t) => WireError::UnknownToken(*t),
-            Error::Io(e) => WireError::Io(e.to_string()),
-        }
+wire_enum! {
+    /// The result of one [`DcRequest`]. Exactly one reply variant is valid
+    /// per request variant; a proxy receiving any other shape treats the
+    /// exchange as a protocol violation.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum DcReply as "dc reply" {
+        1 unit Unit,
+        2 value Value(value: Option<Value>),
+        3 rows Rows(rows: Vec<(Key, Value)>),
+        /// A prepared write parked server-side: apply with
+        /// [`DcRequest::Apply`]`{token, ..}` once logged (which frees it),
+        /// or release with [`DcRequest::ReleaseOp`]`{token}` to abandon it.
+        4 prepared Prepared { token: u64, pid: PageId, before: Option<Value> },
+        /// Latch-free placement info.
+        5 info Info(info: PrepareInfo),
+        6 flag Flag(flag: bool),
+        7 count Count(count: u64),
+        8 pid Pid(pid: PageId),
+        9 table_ids TableIds(tables: Vec<TableId>),
+        /// An exclusive table latch parked server-side: release with
+        /// [`DcRequest::ReleaseTable`]`{token}`.
+        10 table_locked TableLocked { token: u64 },
+        11 summary Summary(summary: TableSummary),
+        12 pair Pair(a: u64, b: u64),
+        13 smo_replayed SmoReplayed { moved_root: Option<Lsn>, outcome: SmoBarrierOutcome },
+        14 located LocatedAt(located: Located),
+        15 preload Preload(stats: PreloadStats),
+        // Boxed: a DcStats snapshot (two inline histograms) dwarfs every
+        // other reply shape, and stats crossings are cold-path.
+        16 stats Stats(stats: Box<DcStats>),
+        17 err Err(error: WireError),
+        /// The server's per-op wire accumulators ([`DcRequest::Introspect`]).
+        18 wire_telemetry WireTelemetry(snapshot: WireTelemetrySnapshot),
     }
 }
 
-impl From<WireError> for Error {
-    fn from(w: WireError) -> Error {
-        match w {
-            WireError::PageOutOfRange { pid, pages } => Error::PageOutOfRange { pid, pages },
-            WireError::PageFull { pid, needed, free } => {
-                Error::PageFull { pid, needed: needed as usize, free: free as usize }
-            }
-            WireError::KeyNotFound { table, key } => Error::KeyNotFound { table, key },
-            WireError::DuplicateKey { table, key } => Error::DuplicateKey { table, key },
-            WireError::UnknownTable(t) => Error::UnknownTable(t),
-            WireError::UnknownTxn(t) => Error::UnknownTxn(t),
-            WireError::TxnNotActive(t) => Error::TxnNotActive(t),
-            WireError::LockConflict { txn, table, key } => Error::LockConflict { txn, table, key },
-            WireError::PoolExhausted { capacity } => {
-                Error::PoolExhausted { capacity: capacity as usize }
-            }
-            WireError::LogCorrupt { lsn, reason } => Error::LogCorrupt { lsn, reason },
-            WireError::WalViolation { pid, plsn, elsn } => Error::WalViolation { pid, plsn, elsn },
-            WireError::TreeCorrupt(m) => Error::TreeCorrupt(m),
-            WireError::RecoveryInvariant(m) => Error::RecoveryInvariant(m),
-            WireError::ServerBusy { active, cap } => Error::ServerBusy { active, cap },
-            WireError::UnknownToken(t) => Error::UnknownToken(t),
-            WireError::Io(m) => Error::Io(std::io::Error::other(m)),
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// field codecs
-// ----------------------------------------------------------------------
-
-fn put_opt_value(e: &mut Encoder, v: &Option<Value>) {
-    match v {
-        Some(v) => {
-            e.put_u8(1);
-            e.put_bytes(v);
-        }
-        None => e.put_u8(0),
-    }
-}
-
-fn get_opt_value(d: &mut Decoder<'_>) -> Result<Option<Value>, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_bytes()?)),
-        t => Err(CodecError::BadTag { context: "optional value", tag: t }),
-    }
-}
-
-fn put_opt_lsn(e: &mut Encoder, v: &Option<Lsn>) {
-    match v {
-        Some(l) => {
-            e.put_u8(1);
-            e.put_lsn(*l);
-        }
-        None => e.put_u8(0),
-    }
-}
-
-fn get_opt_lsn(d: &mut Decoder<'_>) -> Result<Option<Lsn>, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_lsn()?)),
-        t => Err(CodecError::BadTag { context: "optional lsn", tag: t }),
-    }
-}
-
-fn put_string(e: &mut Encoder, s: &str) {
-    e.put_bytes(s.as_bytes());
-}
-
-fn get_string(d: &mut Decoder<'_>) -> Result<String, CodecError> {
-    Ok(String::from_utf8_lossy(&d.get_bytes()?).into_owned())
-}
-
-fn put_intent(e: &mut Encoder, i: WireIntent) {
-    match i {
-        WireIntent::Insert { value_len } => {
-            e.put_u8(0);
-            e.put_u64(value_len);
-        }
-        WireIntent::Update { value_len } => {
-            e.put_u8(1);
-            e.put_u64(value_len);
-        }
-        WireIntent::Delete => e.put_u8(2),
-    }
-}
-
-fn get_intent(d: &mut Decoder<'_>) -> Result<WireIntent, CodecError> {
-    match d.get_u8()? {
-        0 => Ok(WireIntent::Insert { value_len: d.get_u64()? }),
-        1 => Ok(WireIntent::Update { value_len: d.get_u64()? }),
-        2 => Ok(WireIntent::Delete),
-        t => Err(CodecError::BadTag { context: "write intent", tag: t }),
-    }
-}
-
-/// A [`LogRecord`] rides the wire as `lsn` + its existing WAL body
-/// encoding — the one record format the whole workspace shares.
-fn put_record(e: &mut Encoder, rec: &LogRecord) {
-    e.put_lsn(rec.lsn);
-    e.put_bytes(&rec.payload.encode());
-}
-
-fn get_record(d: &mut Decoder<'_>) -> Result<LogRecord, CodecError> {
-    let lsn = d.get_lsn()?;
-    let body = d.get_bytes()?;
-    Ok(LogRecord { lsn, payload: LogPayload::decode(&body)? })
-}
-
-fn put_records(e: &mut Encoder, recs: &[LogRecord]) {
-    e.put_u32(recs.len() as u32);
-    for r in recs {
-        put_record(e, r);
-    }
-}
-
-fn get_records(d: &mut Decoder<'_>) -> Result<Vec<LogRecord>, CodecError> {
-    let n = d.get_u32()? as usize;
-    (0..n).map(|_| get_record(d)).collect()
-}
-
-/// An [`SmoRecord`] reuses the WAL body encoding by wrapping itself as
-/// [`LogPayload::Smo`].
-fn put_smo(e: &mut Encoder, smo: &SmoRecord) {
-    e.put_bytes(&LogPayload::Smo(smo.clone()).encode());
-}
-
-fn get_smo(d: &mut Decoder<'_>) -> Result<SmoRecord, CodecError> {
-    let body = d.get_bytes()?;
-    match LogPayload::decode(&body)? {
-        LogPayload::Smo(smo) => Ok(smo),
-        _ => Err(CodecError::BadTag { context: "smo record", tag: 0 }),
-    }
-}
-
-fn put_dpt(e: &mut Encoder, dpt: &WireDpt) {
-    e.put_u32(dpt.0.len() as u32);
-    for (pid, rlsn, last_lsn) in &dpt.0 {
-        e.put_pid(*pid);
-        e.put_lsn(*rlsn);
-        e.put_lsn(*last_lsn);
-    }
-}
-
-fn get_dpt(d: &mut Decoder<'_>) -> Result<WireDpt, CodecError> {
-    let n = d.get_u32()? as usize;
-    let mut v = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        v.push((d.get_pid()?, d.get_lsn()?, d.get_lsn()?));
-    }
-    Ok(WireDpt(v))
-}
-
-fn put_rows(e: &mut Encoder, rows: &[(Key, Value)]) {
-    e.put_u32(rows.len() as u32);
-    for (k, v) in rows {
-        e.put_key(*k);
-        e.put_bytes(v);
-    }
-}
-
-fn get_rows(d: &mut Decoder<'_>) -> Result<Vec<(Key, Value)>, CodecError> {
-    let n = d.get_u32()? as usize;
-    let mut rows = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        rows.push((d.get_key()?, d.get_bytes()?));
-    }
-    Ok(rows)
-}
-
-fn put_outcome(e: &mut Encoder, o: &SmoBarrierOutcome) {
-    e.put_u64(o.pages_applied);
-    e.put_u64(o.skipped_no_dpt_entry);
-    e.put_u64(o.skipped_rlsn);
-    e.put_u64(o.skipped_plsn);
-}
-
-fn get_outcome(d: &mut Decoder<'_>) -> Result<SmoBarrierOutcome, CodecError> {
-    Ok(SmoBarrierOutcome {
-        pages_applied: d.get_u64()?,
-        skipped_no_dpt_entry: d.get_u64()?,
-        skipped_rlsn: d.get_u64()?,
-        skipped_plsn: d.get_u64()?,
-    })
-}
-
-fn put_stats(e: &mut Encoder, s: &DcStats) {
-    e.put_u64(s.delta_records_written);
-    e.put_u64(s.bw_records_written);
-    e.put_u64(s.smo_records_written);
-    e.put_u64(s.delta_bytes_logged);
-    e.put_u64(s.bw_bytes_logged);
-    e.put_u64(s.optimistic_point_reads);
-    e.put_u64(s.optimistic_range_scans);
-    e.put_u64(s.read_fallbacks);
-    e.put_u64(s.scan_fallbacks);
-    e.put_u64(s.optimistic_writes);
-    e.put_u64(s.write_fallbacks);
-    e.put_u64(s.segments_compacted);
-    e.put_u64(s.live_bytes_migrated);
-    e.put_u64(s.dead_bytes_reclaimed);
-    e.put_u64(s.log_read_cache_hits);
-    e.put_u64(s.log_read_cache_misses);
-    s.read_restart_hist.encode_into(e);
-    s.write_restart_hist.encode_into(e);
-}
-
-fn get_stats(d: &mut Decoder<'_>) -> Result<DcStats, CodecError> {
-    Ok(DcStats {
-        delta_records_written: d.get_u64()?,
-        bw_records_written: d.get_u64()?,
-        smo_records_written: d.get_u64()?,
-        delta_bytes_logged: d.get_u64()?,
-        bw_bytes_logged: d.get_u64()?,
-        optimistic_point_reads: d.get_u64()?,
-        optimistic_range_scans: d.get_u64()?,
-        read_fallbacks: d.get_u64()?,
-        scan_fallbacks: d.get_u64()?,
-        optimistic_writes: d.get_u64()?,
-        write_fallbacks: d.get_u64()?,
-        segments_compacted: d.get_u64()?,
-        live_bytes_migrated: d.get_u64()?,
-        dead_bytes_reclaimed: d.get_u64()?,
-        log_read_cache_hits: d.get_u64()?,
-        log_read_cache_misses: d.get_u64()?,
-        read_restart_hist: Histogram::decode_from(d)?,
-        write_restart_hist: Histogram::decode_from(d)?,
-    })
-}
-
-/// Encode a [`WireError`] into an encoder — shared by the DC reply codec
-/// and the client-protocol crate, so both wires carry one error format.
-pub fn put_error(e: &mut Encoder, w: &WireError) {
-    match w {
-        WireError::PageOutOfRange { pid, pages } => {
-            e.put_u8(1);
-            e.put_pid(*pid);
-            e.put_u64(*pages);
-        }
-        WireError::PageFull { pid, needed, free } => {
-            e.put_u8(2);
-            e.put_pid(*pid);
-            e.put_u64(*needed);
-            e.put_u64(*free);
-        }
-        WireError::KeyNotFound { table, key } => {
-            e.put_u8(3);
-            e.put_table(*table);
-            e.put_key(*key);
-        }
-        WireError::DuplicateKey { table, key } => {
-            e.put_u8(4);
-            e.put_table(*table);
-            e.put_key(*key);
-        }
-        WireError::UnknownTable(t) => {
-            e.put_u8(5);
-            e.put_table(*t);
-        }
-        WireError::UnknownTxn(t) => {
-            e.put_u8(6);
-            e.put_txn(*t);
-        }
-        WireError::TxnNotActive(t) => {
-            e.put_u8(7);
-            e.put_txn(*t);
-        }
-        WireError::LockConflict { txn, table, key } => {
-            e.put_u8(8);
-            e.put_txn(*txn);
-            e.put_table(*table);
-            e.put_key(*key);
-        }
-        WireError::PoolExhausted { capacity } => {
-            e.put_u8(9);
-            e.put_u64(*capacity);
-        }
-        WireError::LogCorrupt { lsn, reason } => {
-            e.put_u8(10);
-            e.put_lsn(*lsn);
-            put_string(e, reason);
-        }
-        WireError::WalViolation { pid, plsn, elsn } => {
-            e.put_u8(11);
-            e.put_pid(*pid);
-            e.put_lsn(*plsn);
-            e.put_lsn(*elsn);
-        }
-        WireError::TreeCorrupt(m) => {
-            e.put_u8(12);
-            put_string(e, m);
-        }
-        WireError::RecoveryInvariant(m) => {
-            e.put_u8(13);
-            put_string(e, m);
-        }
-        WireError::Io(m) => {
-            e.put_u8(14);
-            put_string(e, m);
-        }
-        WireError::ServerBusy { active, cap } => {
-            e.put_u8(15);
-            e.put_u64(*active);
-            e.put_u64(*cap);
-        }
-        WireError::UnknownToken(t) => {
-            e.put_u8(16);
-            e.put_u64(*t);
-        }
-    }
-}
-
-/// Decode a [`WireError`] (inverse of [`put_error`]).
-pub fn get_error(d: &mut Decoder<'_>) -> Result<WireError, CodecError> {
-    Ok(match d.get_u8()? {
-        1 => WireError::PageOutOfRange { pid: d.get_pid()?, pages: d.get_u64()? },
-        2 => WireError::PageFull { pid: d.get_pid()?, needed: d.get_u64()?, free: d.get_u64()? },
-        3 => WireError::KeyNotFound { table: d.get_table()?, key: d.get_key()? },
-        4 => WireError::DuplicateKey { table: d.get_table()?, key: d.get_key()? },
-        5 => WireError::UnknownTable(d.get_table()?),
-        6 => WireError::UnknownTxn(d.get_txn()?),
-        7 => WireError::TxnNotActive(d.get_txn()?),
-        8 => {
-            WireError::LockConflict { txn: d.get_txn()?, table: d.get_table()?, key: d.get_key()? }
-        }
-        9 => WireError::PoolExhausted { capacity: d.get_u64()? },
-        10 => WireError::LogCorrupt { lsn: d.get_lsn()?, reason: get_string(d)? },
-        11 => WireError::WalViolation { pid: d.get_pid()?, plsn: d.get_lsn()?, elsn: d.get_lsn()? },
-        12 => WireError::TreeCorrupt(get_string(d)?),
-        13 => WireError::RecoveryInvariant(get_string(d)?),
-        14 => WireError::Io(get_string(d)?),
-        15 => WireError::ServerBusy { active: d.get_u64()?, cap: d.get_u64()? },
-        16 => WireError::UnknownToken(d.get_u64()?),
-        t => return Err(CodecError::BadTag { context: "wire error", tag: t }),
-    })
-}
-
-// ----------------------------------------------------------------------
-// message codecs
-// ----------------------------------------------------------------------
-
-const REQ_READ: u8 = 1;
-const REQ_READ_RANGE: u8 = 2;
-const REQ_SCAN_ALL: u8 = 3;
-const REQ_PREPARE_OP: u8 = 4;
-const REQ_RELEASE_OP: u8 = 5;
-const REQ_PREPARE_WRITE: u8 = 6;
-const REQ_APPLY: u8 = 7;
-const REQ_APPLY_AT: u8 = 8;
-const REQ_OVER_GARBAGE: u8 = 9;
-const REQ_RSSP: u8 = 10;
-const REQ_DRAIN: u8 = 11;
-const REQ_CRASH: u8 = 12;
-const REQ_RELOAD_CATALOG: u8 = 13;
-const REQ_PUMP_EVENTS: u8 = 14;
-const REQ_FORCE_EMIT: u8 = 15;
-const REQ_DISCARD_EVENTS: u8 = 16;
-const REQ_CLEANER_PASS: u8 = 17;
-const REQ_OVER_WATERMARK: u8 = 18;
-const REQ_CREATE_TABLE: u8 = 19;
-const REQ_REGISTER_TABLE: u8 = 20;
-const REQ_TABLE_ROOT: u8 = 21;
-const REQ_SET_ROOT: u8 = 22;
-const REQ_SAVE_CATALOG: u8 = 23;
-const REQ_TABLES: u8 = 24;
-const REQ_LOCK_TABLE: u8 = 25;
-const REQ_RELEASE_TABLE: u8 = 26;
-const REQ_VERIFY_TABLE: u8 = 27;
-const REQ_SMO_REDO: u8 = 28;
-const REQ_REPLAY_SMO: u8 = 29;
-const REQ_RESOLVE_REDO_PID: u8 = 30;
-const REQ_LOCATE_KEY: u8 = 31;
-const REQ_PRELOAD_INDEX: u8 = 32;
-const REQ_FINISH_REDO: u8 = 33;
-const REQ_STATS: u8 = 34;
-const REQ_INTROSPECT: u8 = 35;
-const REQ_COMPACT_PASS: u8 = 36;
-
-/// The highest assigned request tag — sizes per-op telemetry tables.
-pub const MAX_REQ_TAG: u8 = REQ_COMPACT_PASS;
-
-/// Human-readable name of a request tag, for telemetry rows and trace
-/// events. Unknown tags render as `"unknown"`.
-pub fn op_name(tag: u8) -> &'static str {
-    match tag {
-        REQ_READ => "read",
-        REQ_READ_RANGE => "read_range",
-        REQ_SCAN_ALL => "scan_all",
-        REQ_PREPARE_OP => "prepare_op",
-        REQ_RELEASE_OP => "release_op",
-        REQ_PREPARE_WRITE => "prepare_write",
-        REQ_APPLY => "apply",
-        REQ_APPLY_AT => "apply_at",
-        REQ_RSSP => "rssp",
-        REQ_DRAIN => "drain_in_flight_ops",
-        REQ_CRASH => "crash",
-        REQ_RELOAD_CATALOG => "reload_catalog",
-        REQ_PUMP_EVENTS => "pump_events",
-        REQ_FORCE_EMIT => "force_emit",
-        REQ_DISCARD_EVENTS => "discard_events",
-        REQ_CLEANER_PASS => "cleaner_pass",
-        REQ_OVER_WATERMARK => "over_dirty_watermark",
-        REQ_CREATE_TABLE => "create_table",
-        REQ_REGISTER_TABLE => "register_table",
-        REQ_TABLE_ROOT => "table_root",
-        REQ_SET_ROOT => "set_root",
-        REQ_SAVE_CATALOG => "save_catalog",
-        REQ_TABLES => "tables",
-        REQ_LOCK_TABLE => "lock_table_exclusive",
-        REQ_RELEASE_TABLE => "release_table",
-        REQ_VERIFY_TABLE => "verify_table",
-        REQ_SMO_REDO => "smo_redo",
-        REQ_REPLAY_SMO => "replay_smo_screened",
-        REQ_RESOLVE_REDO_PID => "resolve_redo_pid",
-        REQ_LOCATE_KEY => "locate_key",
-        REQ_PRELOAD_INDEX => "preload_index",
-        REQ_FINISH_REDO => "finish_redo",
-        REQ_STATS => "stats",
-        REQ_INTROSPECT => "introspect",
-        REQ_COMPACT_PASS => "compact_pass",
-        REQ_OVER_GARBAGE => "over_garbage_watermark",
-        _ => "unknown",
-    }
-}
-
-impl DcRequest {
-    /// Serialize with no EOSL news ([`Lsn::NULL`], which the server's
-    /// monotone publish ignores); see [`DcRequest::encode_with_eosl`].
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_eosl(Lsn::NULL)
+impl Reply for DcReply {
+    fn from_error(e: WireError) -> DcReply {
+        DcReply::Err(e)
     }
 
-    /// Serialize as `[tag][fields][eosl u64]` (no frame — callers wrap
-    /// with [`lr_common::codec::frame`]). The trailing 8 bytes are the
-    /// client's EOSL watermark, piggybacked on every request instead of
-    /// travelling as a message of its own.
-    pub fn encode_with_eosl(&self, eosl: Lsn) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(64);
+    fn error(&self) -> Option<&WireError> {
         match self {
-            DcRequest::Read { table, key } => {
-                e.put_u8(REQ_READ);
-                e.put_table(*table);
-                e.put_key(*key);
-            }
-            DcRequest::ReadRange { table, from, to } => {
-                e.put_u8(REQ_READ_RANGE);
-                e.put_table(*table);
-                e.put_key(*from);
-                e.put_key(*to);
-            }
-            DcRequest::ScanAll { table } => {
-                e.put_u8(REQ_SCAN_ALL);
-                e.put_table(*table);
-            }
-            DcRequest::PrepareOp { table, key, intent } => {
-                e.put_u8(REQ_PREPARE_OP);
-                e.put_table(*table);
-                e.put_key(*key);
-                put_intent(&mut e, *intent);
-            }
-            DcRequest::ReleaseOp { token } => {
-                e.put_u8(REQ_RELEASE_OP);
-                e.put_u64(*token);
-            }
-            DcRequest::PrepareWrite { table, key, intent } => {
-                e.put_u8(REQ_PREPARE_WRITE);
-                e.put_table(*table);
-                e.put_key(*key);
-                put_intent(&mut e, *intent);
-            }
-            DcRequest::Apply { token, rec } => {
-                e.put_u8(REQ_APPLY);
-                e.put_u64(*token);
-                put_record(&mut e, rec);
-            }
-            DcRequest::ApplyAt { pid, rec } => {
-                e.put_u8(REQ_APPLY_AT);
-                e.put_pid(*pid);
-                put_record(&mut e, rec);
-            }
-            DcRequest::Rssp { rssp_lsn } => {
-                e.put_u8(REQ_RSSP);
-                e.put_lsn(*rssp_lsn);
-            }
-            DcRequest::DrainInFlightOps => e.put_u8(REQ_DRAIN),
-            DcRequest::Crash => e.put_u8(REQ_CRASH),
-            DcRequest::ReloadCatalog => e.put_u8(REQ_RELOAD_CATALOG),
-            DcRequest::PumpEvents => e.put_u8(REQ_PUMP_EVENTS),
-            DcRequest::ForceEmit => e.put_u8(REQ_FORCE_EMIT),
-            DcRequest::DiscardEvents => e.put_u8(REQ_DISCARD_EVENTS),
-            DcRequest::CleanerPass => e.put_u8(REQ_CLEANER_PASS),
-            DcRequest::OverDirtyWatermark => e.put_u8(REQ_OVER_WATERMARK),
-            DcRequest::CompactPass => e.put_u8(REQ_COMPACT_PASS),
-            DcRequest::OverGarbageWatermark => e.put_u8(REQ_OVER_GARBAGE),
-            DcRequest::CreateTable { table } => {
-                e.put_u8(REQ_CREATE_TABLE);
-                e.put_table(*table);
-            }
-            DcRequest::RegisterTable { table, root } => {
-                e.put_u8(REQ_REGISTER_TABLE);
-                e.put_table(*table);
-                e.put_pid(*root);
-            }
-            DcRequest::TableRoot { table } => {
-                e.put_u8(REQ_TABLE_ROOT);
-                e.put_table(*table);
-            }
-            DcRequest::SetRoot { table, root } => {
-                e.put_u8(REQ_SET_ROOT);
-                e.put_table(*table);
-                e.put_pid(*root);
-            }
-            DcRequest::SaveCatalog { lsn } => {
-                e.put_u8(REQ_SAVE_CATALOG);
-                e.put_lsn(*lsn);
-            }
-            DcRequest::Tables => e.put_u8(REQ_TABLES),
-            DcRequest::LockTableExclusive { table } => {
-                e.put_u8(REQ_LOCK_TABLE);
-                e.put_table(*table);
-            }
-            DcRequest::ReleaseTable { token } => {
-                e.put_u8(REQ_RELEASE_TABLE);
-                e.put_u64(*token);
-            }
-            DcRequest::VerifyTable { table } => {
-                e.put_u8(REQ_VERIFY_TABLE);
-                e.put_table(*table);
-            }
-            DcRequest::SmoRedo { window } => {
-                e.put_u8(REQ_SMO_REDO);
-                put_records(&mut e, window);
-            }
-            DcRequest::ReplaySmoScreened { lsn, smo, dpt } => {
-                e.put_u8(REQ_REPLAY_SMO);
-                e.put_lsn(*lsn);
-                put_smo(&mut e, smo);
-                put_dpt(&mut e, dpt);
-            }
-            DcRequest::ResolveRedoPid { table, key, logged_pid } => {
-                e.put_u8(REQ_RESOLVE_REDO_PID);
-                e.put_table(*table);
-                e.put_key(*key);
-                e.put_pid(*logged_pid);
-            }
-            DcRequest::LocateKey { table, key } => {
-                e.put_u8(REQ_LOCATE_KEY);
-                e.put_table(*table);
-                e.put_key(*key);
-            }
-            DcRequest::PreloadIndex => e.put_u8(REQ_PRELOAD_INDEX),
-            DcRequest::FinishRedo => e.put_u8(REQ_FINISH_REDO),
-            DcRequest::Stats => e.put_u8(REQ_STATS),
-            DcRequest::Introspect => e.put_u8(REQ_INTROSPECT),
+            DcReply::Err(e) => Some(e),
+            _ => None,
         }
-        e.put_lsn(eosl);
-        e.finish()
-    }
-
-    /// The wire tag this request encodes with — the telemetry op index.
-    pub fn tag(&self) -> u8 {
-        match self {
-            DcRequest::Read { .. } => REQ_READ,
-            DcRequest::ReadRange { .. } => REQ_READ_RANGE,
-            DcRequest::ScanAll { .. } => REQ_SCAN_ALL,
-            DcRequest::PrepareOp { .. } => REQ_PREPARE_OP,
-            DcRequest::ReleaseOp { .. } => REQ_RELEASE_OP,
-            DcRequest::PrepareWrite { .. } => REQ_PREPARE_WRITE,
-            DcRequest::Apply { .. } => REQ_APPLY,
-            DcRequest::ApplyAt { .. } => REQ_APPLY_AT,
-            DcRequest::Rssp { .. } => REQ_RSSP,
-            DcRequest::DrainInFlightOps => REQ_DRAIN,
-            DcRequest::Crash => REQ_CRASH,
-            DcRequest::ReloadCatalog => REQ_RELOAD_CATALOG,
-            DcRequest::PumpEvents => REQ_PUMP_EVENTS,
-            DcRequest::ForceEmit => REQ_FORCE_EMIT,
-            DcRequest::DiscardEvents => REQ_DISCARD_EVENTS,
-            DcRequest::CleanerPass => REQ_CLEANER_PASS,
-            DcRequest::OverDirtyWatermark => REQ_OVER_WATERMARK,
-            DcRequest::CompactPass => REQ_COMPACT_PASS,
-            DcRequest::OverGarbageWatermark => REQ_OVER_GARBAGE,
-            DcRequest::CreateTable { .. } => REQ_CREATE_TABLE,
-            DcRequest::RegisterTable { .. } => REQ_REGISTER_TABLE,
-            DcRequest::TableRoot { .. } => REQ_TABLE_ROOT,
-            DcRequest::SetRoot { .. } => REQ_SET_ROOT,
-            DcRequest::SaveCatalog { .. } => REQ_SAVE_CATALOG,
-            DcRequest::Tables => REQ_TABLES,
-            DcRequest::LockTableExclusive { .. } => REQ_LOCK_TABLE,
-            DcRequest::ReleaseTable { .. } => REQ_RELEASE_TABLE,
-            DcRequest::VerifyTable { .. } => REQ_VERIFY_TABLE,
-            DcRequest::SmoRedo { .. } => REQ_SMO_REDO,
-            DcRequest::ReplaySmoScreened { .. } => REQ_REPLAY_SMO,
-            DcRequest::ResolveRedoPid { .. } => REQ_RESOLVE_REDO_PID,
-            DcRequest::LocateKey { .. } => REQ_LOCATE_KEY,
-            DcRequest::PreloadIndex => REQ_PRELOAD_INDEX,
-            DcRequest::FinishRedo => REQ_FINISH_REDO,
-            DcRequest::Stats => REQ_STATS,
-            DcRequest::Introspect => REQ_INTROSPECT,
-        }
-    }
-
-    /// Decode a request, discarding its EOSL watermark.
-    pub fn decode(bytes: &[u8]) -> Result<DcRequest, CodecError> {
-        DcRequest::decode_with_eosl(bytes).map(|(req, _)| req)
-    }
-
-    /// Decode a request and the EOSL watermark it carries (the inverse of
-    /// [`DcRequest::encode_with_eosl`]).
-    pub fn decode_with_eosl(bytes: &[u8]) -> Result<(DcRequest, Lsn), CodecError> {
-        let mut d = Decoder::new(bytes);
-        let req = match d.get_u8()? {
-            REQ_READ => DcRequest::Read { table: d.get_table()?, key: d.get_key()? },
-            REQ_READ_RANGE => {
-                DcRequest::ReadRange { table: d.get_table()?, from: d.get_key()?, to: d.get_key()? }
-            }
-            REQ_SCAN_ALL => DcRequest::ScanAll { table: d.get_table()? },
-            REQ_PREPARE_OP => DcRequest::PrepareOp {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                intent: get_intent(&mut d)?,
-            },
-            REQ_RELEASE_OP => DcRequest::ReleaseOp { token: d.get_u64()? },
-            REQ_PREPARE_WRITE => DcRequest::PrepareWrite {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                intent: get_intent(&mut d)?,
-            },
-            REQ_APPLY => DcRequest::Apply { token: d.get_u64()?, rec: get_record(&mut d)? },
-            REQ_APPLY_AT => DcRequest::ApplyAt { pid: d.get_pid()?, rec: get_record(&mut d)? },
-            REQ_RSSP => DcRequest::Rssp { rssp_lsn: d.get_lsn()? },
-            REQ_DRAIN => DcRequest::DrainInFlightOps,
-            REQ_CRASH => DcRequest::Crash,
-            REQ_RELOAD_CATALOG => DcRequest::ReloadCatalog,
-            REQ_PUMP_EVENTS => DcRequest::PumpEvents,
-            REQ_FORCE_EMIT => DcRequest::ForceEmit,
-            REQ_DISCARD_EVENTS => DcRequest::DiscardEvents,
-            REQ_CLEANER_PASS => DcRequest::CleanerPass,
-            REQ_OVER_WATERMARK => DcRequest::OverDirtyWatermark,
-            REQ_COMPACT_PASS => DcRequest::CompactPass,
-            REQ_OVER_GARBAGE => DcRequest::OverGarbageWatermark,
-            REQ_CREATE_TABLE => DcRequest::CreateTable { table: d.get_table()? },
-            REQ_REGISTER_TABLE => {
-                DcRequest::RegisterTable { table: d.get_table()?, root: d.get_pid()? }
-            }
-            REQ_TABLE_ROOT => DcRequest::TableRoot { table: d.get_table()? },
-            REQ_SET_ROOT => DcRequest::SetRoot { table: d.get_table()?, root: d.get_pid()? },
-            REQ_SAVE_CATALOG => DcRequest::SaveCatalog { lsn: d.get_lsn()? },
-            REQ_TABLES => DcRequest::Tables,
-            REQ_LOCK_TABLE => DcRequest::LockTableExclusive { table: d.get_table()? },
-            REQ_RELEASE_TABLE => DcRequest::ReleaseTable { token: d.get_u64()? },
-            REQ_VERIFY_TABLE => DcRequest::VerifyTable { table: d.get_table()? },
-            REQ_SMO_REDO => DcRequest::SmoRedo { window: get_records(&mut d)? },
-            REQ_REPLAY_SMO => DcRequest::ReplaySmoScreened {
-                lsn: d.get_lsn()?,
-                smo: get_smo(&mut d)?,
-                dpt: get_dpt(&mut d)?,
-            },
-            REQ_RESOLVE_REDO_PID => DcRequest::ResolveRedoPid {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                logged_pid: d.get_pid()?,
-            },
-            REQ_LOCATE_KEY => DcRequest::LocateKey { table: d.get_table()?, key: d.get_key()? },
-            REQ_PRELOAD_INDEX => DcRequest::PreloadIndex,
-            REQ_FINISH_REDO => DcRequest::FinishRedo,
-            REQ_STATS => DcRequest::Stats,
-            REQ_INTROSPECT => DcRequest::Introspect,
-            t => return Err(CodecError::BadTag { context: "dc request", tag: t }),
-        };
-        let eosl = d.get_lsn()?;
-        d.expect_done()?;
-        Ok((req, eosl))
-    }
-}
-
-const REP_UNIT: u8 = 1;
-const REP_VALUE: u8 = 2;
-const REP_ROWS: u8 = 3;
-const REP_PREPARED: u8 = 4;
-const REP_INFO: u8 = 5;
-const REP_FLAG: u8 = 6;
-const REP_COUNT: u8 = 7;
-const REP_PID: u8 = 8;
-const REP_TABLE_IDS: u8 = 9;
-const REP_TABLE_LOCKED: u8 = 10;
-const REP_SUMMARY: u8 = 11;
-const REP_PAIR: u8 = 12;
-const REP_SMO_REPLAYED: u8 = 13;
-const REP_LOCATED: u8 = 14;
-const REP_PRELOAD: u8 = 15;
-const REP_STATS: u8 = 16;
-const REP_ERR: u8 = 17;
-const REP_WIRE_TELEMETRY: u8 = 18;
-
-impl DcReply {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(64);
-        match self {
-            DcReply::Unit => e.put_u8(REP_UNIT),
-            DcReply::Value(v) => {
-                e.put_u8(REP_VALUE);
-                put_opt_value(&mut e, v);
-            }
-            DcReply::Rows(rows) => {
-                e.put_u8(REP_ROWS);
-                put_rows(&mut e, rows);
-            }
-            DcReply::Prepared { token, pid, before } => {
-                e.put_u8(REP_PREPARED);
-                e.put_u64(*token);
-                e.put_pid(*pid);
-                put_opt_value(&mut e, before);
-            }
-            DcReply::Info { pid, before } => {
-                e.put_u8(REP_INFO);
-                e.put_pid(*pid);
-                put_opt_value(&mut e, before);
-            }
-            DcReply::Flag(b) => {
-                e.put_u8(REP_FLAG);
-                e.put_u8(*b as u8);
-            }
-            DcReply::Count(c) => {
-                e.put_u8(REP_COUNT);
-                e.put_u64(*c);
-            }
-            DcReply::Pid(p) => {
-                e.put_u8(REP_PID);
-                e.put_pid(*p);
-            }
-            DcReply::TableIds(ts) => {
-                e.put_u8(REP_TABLE_IDS);
-                e.put_u32(ts.len() as u32);
-                for t in ts {
-                    e.put_table(*t);
-                }
-            }
-            DcReply::TableLocked { token } => {
-                e.put_u8(REP_TABLE_LOCKED);
-                e.put_u64(*token);
-            }
-            DcReply::Summary(s) => {
-                e.put_u8(REP_SUMMARY);
-                e.put_u64(s.records);
-                e.put_u64(s.leaf_pages);
-                e.put_u64(s.internal_pages);
-                e.put_u32(s.height);
-            }
-            DcReply::Pair(a, b) => {
-                e.put_u8(REP_PAIR);
-                e.put_u64(*a);
-                e.put_u64(*b);
-            }
-            DcReply::SmoReplayed { moved_root, outcome } => {
-                e.put_u8(REP_SMO_REPLAYED);
-                put_opt_lsn(&mut e, moved_root);
-                put_outcome(&mut e, outcome);
-            }
-            DcReply::LocatedAt { pid, levels, stall_us } => {
-                e.put_u8(REP_LOCATED);
-                e.put_pid(*pid);
-                e.put_u32(*levels);
-                e.put_u64(*stall_us);
-            }
-            DcReply::Preload { pages_loaded, prefetch_ios, prefetch_pages } => {
-                e.put_u8(REP_PRELOAD);
-                e.put_u64(*pages_loaded);
-                e.put_u64(*prefetch_ios);
-                e.put_u64(*prefetch_pages);
-            }
-            DcReply::Stats(s) => {
-                e.put_u8(REP_STATS);
-                put_stats(&mut e, s);
-            }
-            DcReply::WireTelemetry(snap) => {
-                e.put_u8(REP_WIRE_TELEMETRY);
-                snap.encode_into(&mut e);
-            }
-            DcReply::Err(w) => {
-                e.put_u8(REP_ERR);
-                put_error(&mut e, w);
-            }
-        }
-        e.finish()
-    }
-
-    pub fn decode(bytes: &[u8]) -> Result<DcReply, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let rep = match d.get_u8()? {
-            REP_UNIT => DcReply::Unit,
-            REP_VALUE => DcReply::Value(get_opt_value(&mut d)?),
-            REP_ROWS => DcReply::Rows(get_rows(&mut d)?),
-            REP_PREPARED => DcReply::Prepared {
-                token: d.get_u64()?,
-                pid: d.get_pid()?,
-                before: get_opt_value(&mut d)?,
-            },
-            REP_INFO => DcReply::Info { pid: d.get_pid()?, before: get_opt_value(&mut d)? },
-            REP_FLAG => DcReply::Flag(match d.get_u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(CodecError::BadTag { context: "bool flag", tag: t }),
-            }),
-            REP_COUNT => DcReply::Count(d.get_u64()?),
-            REP_PID => DcReply::Pid(d.get_pid()?),
-            REP_TABLE_IDS => {
-                let n = d.get_u32()? as usize;
-                let mut ts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ts.push(d.get_table()?);
-                }
-                DcReply::TableIds(ts)
-            }
-            REP_TABLE_LOCKED => DcReply::TableLocked { token: d.get_u64()? },
-            REP_SUMMARY => DcReply::Summary(TableSummary {
-                records: d.get_u64()?,
-                leaf_pages: d.get_u64()?,
-                internal_pages: d.get_u64()?,
-                height: d.get_u32()?,
-            }),
-            REP_PAIR => DcReply::Pair(d.get_u64()?, d.get_u64()?),
-            REP_SMO_REPLAYED => DcReply::SmoReplayed {
-                moved_root: get_opt_lsn(&mut d)?,
-                outcome: get_outcome(&mut d)?,
-            },
-            REP_LOCATED => DcReply::LocatedAt {
-                pid: d.get_pid()?,
-                levels: d.get_u32()?,
-                stall_us: d.get_u64()?,
-            },
-            REP_PRELOAD => DcReply::Preload {
-                pages_loaded: d.get_u64()?,
-                prefetch_ios: d.get_u64()?,
-                prefetch_pages: d.get_u64()?,
-            },
-            REP_STATS => DcReply::Stats(Box::new(get_stats(&mut d)?)),
-            REP_WIRE_TELEMETRY => {
-                DcReply::WireTelemetry(WireTelemetrySnapshot::decode_from(&mut d)?)
-            }
-            REP_ERR => DcReply::Err(get_error(&mut d)?),
-            t => return Err(CodecError::BadTag { context: "dc reply", tag: t }),
-        };
-        d.expect_done()?;
-        Ok(rep)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_common::TxnId;
+    use lr_common::{Error, TxnId};
+    use lr_wal::LogPayload;
 
     fn roundtrip_req(req: DcRequest) {
         let bytes = req.encode();
         assert_eq!(DcRequest::decode(&bytes).unwrap(), req);
-        let bytes = req.encode_with_eosl(Lsn(4242));
-        assert_eq!(DcRequest::decode_with_eosl(&bytes).unwrap(), (req, Lsn(4242)));
+        let bytes = req.encode_with(&Lsn(4242));
+        assert_eq!(DcRequest::decode_with(&bytes).unwrap(), (req, Lsn(4242)));
     }
 
     fn roundtrip_rep(rep: DcReply) {
@@ -1325,7 +354,7 @@ mod tests {
             DcReply::Value(None),
             DcReply::Rows(vec![(1, vec![4]), (2, vec![5, 6])]),
             DcReply::Prepared { token: 1, pid: PageId(7), before: Some(vec![9]) },
-            DcReply::Info { pid: PageId(8), before: None },
+            DcReply::Info(PrepareInfo { pid: PageId(8), before: None }),
             DcReply::Flag(true),
             DcReply::Count(17),
             DcReply::Pid(PageId(5)),
@@ -1347,12 +376,12 @@ mod tests {
                     skipped_plsn: 3,
                 },
             },
-            DcReply::LocatedAt { pid: PageId(3), levels: 2, stall_us: 120 },
-            DcReply::Preload { pages_loaded: 5, prefetch_ios: 1, prefetch_pages: 4 },
+            DcReply::LocatedAt(Located { pid: PageId(3), levels: 2, stall_us: 120 }),
+            DcReply::Preload(PreloadStats { pages_loaded: 5, prefetch_ios: 1, prefetch_pages: 4 }),
             DcReply::Stats(Box::new(stats)),
             DcReply::WireTelemetry({
                 let t = crate::telemetry::WireTelemetry::new();
-                t.record(REQ_READ, 10, 20, 5, true);
+                t.record(DcRequest::Read { table: TableId(1), key: 0 }.tag(), 10, 20, 5, true);
                 t.snapshot()
             }),
             DcReply::Err(WireError::KeyNotFound { table: TableId(1), key: 42 }),

@@ -1,12 +1,10 @@
 //! The client half of the protocol: a [`Client`] is a remote
 //! [`lr_core::Session`] — same method surface, same typed errors, every
-//! call one framed round trip.
+//! call one round trip through [`rpc::call`].
 
-use crate::conn::{ChannelConnector, Conn, TcpConn};
 use crate::protocol::{ClientReply, ClientRequest};
-use lr_common::codec::unframe;
-use lr_common::{Error, Key, Lsn, Result, TableId, TxnId, Value};
-use lr_dc::server::{envelope, open_envelope, wire_error};
+use lr_common::rpc::{self, ChannelConnector, Conn, TcpConn};
+use lr_common::{ask, Error, Key, Lsn, Result, TableId, TxnId, Value};
 use std::net::SocketAddr;
 
 /// A connected client session. Holds one connection, runs one request at
@@ -37,14 +35,12 @@ impl Client {
     /// Run the handshake on an established connection.
     pub fn connect(conn: Box<dyn Conn>) -> Result<Client> {
         let mut client = Client { conn, next_req_id: 1, session_id: 0, max_sessions: 0 };
-        match client.call(&ClientRequest::Hello)? {
-            ClientReply::Welcome { session_id, max_sessions } => {
-                client.session_id = session_id;
-                client.max_sessions = max_sessions;
-                Ok(client)
-            }
-            other => Err(protocol("hello", &other)),
-        }
+        (client.session_id, client.max_sessions) = ask!(
+            client,
+            ClientRequest::Hello,
+            ClientReply::Welcome { session_id, max_sessions } => (session_id, max_sessions)
+        )?;
+        Ok(client)
     }
 
     /// The server-assigned session id (1-based, unique per server).
@@ -57,134 +53,79 @@ impl Client {
         self.max_sessions
     }
 
-    /// One framed round trip. Replies must echo the request id — except
-    /// id 0, which the server uses when it could not trust the request
-    /// frame (corruption) or refused admission (busy); those carry a
-    /// typed error we surface directly.
+    /// One round trip; an error reply becomes the typed error it carries.
     fn call(&mut self, req: &ClientRequest) -> Result<ClientReply> {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
-        self.conn.send_frame(&envelope(req_id, &req.encode()))?;
-        let raw = self.conn.recv_frame()?.ok_or_else(|| {
-            Error::Io(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "server closed the connection",
-            ))
-        })?;
-        let payload = unframe(&raw).map_err(wire_error)?;
-        let (echo, body) =
-            open_envelope(payload).map_err(|e| Error::RecoveryInvariant(format!("wire: {e}")))?;
-        let rep = ClientReply::decode(body).map_err(wire_error)?;
-        match rep {
+        match rpc::call(self.conn.as_mut(), req_id, &req.encode())?.0 {
             ClientReply::Err(w) => Err(w.into()),
-            rep if echo == req_id => Ok(rep),
-            _ => Err(Error::RecoveryInvariant(format!(
-                "wire: reply id {echo} does not match request id {req_id}"
-            ))),
+            rep => Ok(rep),
         }
+    }
+
+    fn unit(&mut self, req: ClientRequest) -> Result<()> {
+        ask!(self, req, ClientReply::Unit => ())
     }
 
     pub fn begin(&mut self) -> Result<TxnId> {
-        match self.call(&ClientRequest::Begin)? {
-            ClientReply::Txn(txn) => Ok(txn),
-            other => Err(protocol("begin", &other)),
-        }
+        ask!(self, ClientRequest::Begin, ClientReply::Txn(txn) => txn)
     }
 
     pub fn read(&mut self, table: TableId, key: Key) -> Result<Option<Value>> {
-        match self.call(&ClientRequest::Read { table, key })? {
-            ClientReply::Value(v) => Ok(v),
-            other => Err(protocol("read", &other)),
-        }
+        ask!(self, ClientRequest::Read { table, key }, ClientReply::Value(v) => v)
     }
 
     pub fn read_for_update(&mut self, table: TableId, key: Key) -> Result<Option<Value>> {
-        match self.call(&ClientRequest::ReadForUpdate { table, key })? {
-            ClientReply::Value(v) => Ok(v),
-            other => Err(protocol("read_for_update", &other)),
-        }
+        ask!(self, ClientRequest::ReadForUpdate { table, key }, ClientReply::Value(v) => v)
     }
 
     pub fn update(&mut self, table: TableId, key: Key, value: Value) -> Result<()> {
-        match self.call(&ClientRequest::Update { table, key, value })? {
-            ClientReply::Unit => Ok(()),
-            other => Err(protocol("update", &other)),
-        }
+        self.unit(ClientRequest::Update { table, key, value })
     }
 
     pub fn insert(&mut self, table: TableId, key: Key, value: Value) -> Result<()> {
-        match self.call(&ClientRequest::Insert { table, key, value })? {
-            ClientReply::Unit => Ok(()),
-            other => Err(protocol("insert", &other)),
-        }
+        self.unit(ClientRequest::Insert { table, key, value })
     }
 
     pub fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
-        match self.call(&ClientRequest::Delete { table, key })? {
-            ClientReply::Unit => Ok(()),
-            other => Err(protocol("delete", &other)),
-        }
+        self.unit(ClientRequest::Delete { table, key })
     }
 
     pub fn scan_range(&mut self, table: TableId, from: Key, to: Key) -> Result<Vec<(Key, Value)>> {
-        match self.call(&ClientRequest::ScanRange { table, from, to })? {
-            ClientReply::Rows(rows) => Ok(rows),
-            other => Err(protocol("scan_range", &other)),
-        }
+        ask!(self, ClientRequest::ScanRange { table, from, to }, ClientReply::Rows(rows) => rows)
     }
 
     pub fn commit(&mut self) -> Result<()> {
-        match self.call(&ClientRequest::Commit)? {
-            ClientReply::Unit => Ok(()),
-            other => Err(protocol("commit", &other)),
-        }
+        self.unit(ClientRequest::Commit)
     }
 
     /// Abort the open transaction; returns the number of operations
     /// undone.
     pub fn abort(&mut self) -> Result<u64> {
-        match self.call(&ClientRequest::Abort)? {
-            ClientReply::Undone { ops } => Ok(ops),
-            other => Err(protocol("abort", &other)),
-        }
+        ask!(self, ClientRequest::Abort, ClientReply::Undone { ops } => ops)
     }
 
     pub fn savepoint(&mut self) -> Result<Lsn> {
-        match self.call(&ClientRequest::Savepoint)? {
-            ClientReply::SavepointAt(lsn) => Ok(lsn),
-            other => Err(protocol("savepoint", &other)),
-        }
+        ask!(self, ClientRequest::Savepoint, ClientReply::SavepointAt(lsn) => lsn)
     }
 
     /// Partial rollback; returns the number of operations undone.
     pub fn rollback_to(&mut self, sp: Lsn) -> Result<u64> {
-        match self.call(&ClientRequest::RollbackTo { sp })? {
-            ClientReply::Undone { ops } => Ok(ops),
-            other => Err(protocol("rollback_to", &other)),
-        }
+        ask!(self, ClientRequest::RollbackTo { sp }, ClientReply::Undone { ops } => ops)
     }
 
     pub fn ping(&mut self) -> Result<()> {
-        match self.call(&ClientRequest::Ping)? {
-            ClientReply::Pong => Ok(()),
-            other => Err(protocol("ping", &other)),
-        }
+        ask!(self, ClientRequest::Ping, ClientReply::Pong => ())
     }
 
     /// Engine + server metrics as JSON lines.
     pub fn server_stats_json(&mut self) -> Result<String> {
-        match self.call(&ClientRequest::Stats)? {
-            ClientReply::Text(s) => Ok(s),
-            other => Err(protocol("stats", &other)),
-        }
+        ask!(self, ClientRequest::Stats, ClientReply::Text(s) => s)
     }
 
     /// Engine + server metrics in Prometheus exposition format.
     pub fn server_metrics_prometheus(&mut self) -> Result<String> {
-        match self.call(&ClientRequest::Metrics)? {
-            ClientReply::Text(s) => Ok(s),
-            other => Err(protocol("metrics", &other)),
-        }
+        ask!(self, ClientRequest::Metrics, ClientReply::Text(s) => s)
     }
 
     /// Run `body` as one transaction with no-wait conflict retry — the
@@ -228,6 +169,42 @@ fn conflict_backoff(attempt: usize) {
     }
 }
 
-fn protocol(ctx: &'static str, got: &ClientReply) -> Error {
-    Error::RecoveryInvariant(format!("wire: unexpected reply for {ctx}: {got:?}"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lr_common::rpc::WireError;
+
+    /// A server that welcomes the handshake, then answers every request
+    /// with an error under a foreign request id.
+    struct ForeignIdServer(Option<Vec<u8>>);
+
+    impl Conn for ForeignIdServer {
+        fn send(&mut self, frame: Vec<u8>) -> std::io::Result<()> {
+            let (req_id, body) = rpc::open(&frame).unwrap();
+            let reply = match ClientRequest::decode(body).unwrap() {
+                ClientRequest::Hello => rpc::seal(
+                    req_id,
+                    &ClientReply::Welcome { session_id: 1, max_sessions: 1 }.encode(),
+                ),
+                _ => {
+                    rpc::seal(777, &ClientReply::Err(WireError::UnknownTable(TableId(9))).encode())
+                }
+            };
+            self.0 = Some(reply);
+            Ok(())
+        }
+
+        fn recv(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+            Ok(self.0.take())
+        }
+    }
+
+    #[test]
+    fn an_error_under_a_foreign_request_id_is_a_desync() {
+        let mut client = Client::connect(Box::new(ForeignIdServer(None))).unwrap();
+        match client.ping() {
+            Err(Error::RecoveryInvariant(m)) => assert!(m.contains("does not match"), "{m}"),
+            other => panic!("expected a protocol desync, got {other:?}"),
+        }
+    }
 }

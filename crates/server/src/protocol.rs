@@ -1,334 +1,84 @@
 //! The client-facing wire protocol.
 //!
-//! Same framing stack as the TC↔DC wire ([`lr_common::codec::frame`] CRC
-//! frames around an 8-byte request-id envelope), but a different
-//! vocabulary: where [`lr_dc::wire`] speaks page-level DC operations,
-//! this protocol speaks the [`lr_core::Session`] surface — transactions,
-//! reads, writes, savepoints, and server introspection. Errors reuse
-//! [`WireError`] wholesale, so a client sees the *same* typed errors a
-//! local session sees, plus [`WireError::ServerBusy`] from admission
-//! control.
+//! Same RPC stack as the TC↔DC wire ([`lr_common::rpc`]: CRC frames
+//! around an 8-byte request-id envelope, messages declared as
+//! [`lr_common::wire_enum!`] tables over the shared field codec), but a
+//! different vocabulary: where [`lr_dc::wire`] speaks page-level DC
+//! operations, this protocol speaks the [`lr_core::Session`] surface —
+//! transactions, reads, writes, savepoints, and server introspection.
+//! Errors reuse [`WireError`] wholesale, so a client sees the *same* typed
+//! errors a local session sees, plus [`WireError::ServerBusy`] from
+//! admission control.
 
-use lr_common::codec::{CodecError, Decoder, Encoder};
-use lr_common::{Key, Lsn, TableId, TxnId, Value};
-use lr_dc::wire::{get_error, put_error};
-use lr_dc::WireError;
+use lr_common::rpc::{Reply, WireError};
+use lr_common::{wire_enum, Key, Lsn, TableId, TxnId, Value};
 
-/// Request tags (u8 on the wire). Kept dense so [`req_name`] can be an
-/// exhaustive lookup.
-pub const REQ_HELLO: u8 = 1;
-pub const REQ_BEGIN: u8 = 2;
-pub const REQ_READ: u8 = 3;
-pub const REQ_READ_FOR_UPDATE: u8 = 4;
-pub const REQ_UPDATE: u8 = 5;
-pub const REQ_INSERT: u8 = 6;
-pub const REQ_DELETE: u8 = 7;
-pub const REQ_SCAN_RANGE: u8 = 8;
-pub const REQ_COMMIT: u8 = 9;
-pub const REQ_ABORT: u8 = 10;
-pub const REQ_SAVEPOINT: u8 = 11;
-pub const REQ_ROLLBACK_TO: u8 = 12;
-pub const REQ_PING: u8 = 13;
-pub const REQ_STATS: u8 = 14;
-pub const REQ_METRICS: u8 = 15;
-/// Highest assigned request tag.
-pub const MAX_CLIENT_REQ_TAG: u8 = REQ_METRICS;
-
-/// One client request: the full [`lr_core::Session`] surface plus
-/// handshake, liveness, and introspection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientRequest {
-    /// Handshake: first request on every connection. The server answers
-    /// [`ClientReply::Welcome`] — or an unsolicited
-    /// [`WireError::ServerBusy`] under request id 0 if admission control
-    /// refused the connection before reading anything.
-    Hello,
-    Begin,
-    Read {
-        table: TableId,
-        key: Key,
-    },
-    ReadForUpdate {
-        table: TableId,
-        key: Key,
-    },
-    Update {
-        table: TableId,
-        key: Key,
-        value: Value,
-    },
-    Insert {
-        table: TableId,
-        key: Key,
-        value: Value,
-    },
-    Delete {
-        table: TableId,
-        key: Key,
-    },
-    ScanRange {
-        table: TableId,
-        from: Key,
-        to: Key,
-    },
-    Commit,
-    Abort,
-    Savepoint,
-    RollbackTo {
-        sp: Lsn,
-    },
-    Ping,
-    /// Engine + server metrics as JSON lines.
-    Stats,
-    /// Engine + server metrics in Prometheus exposition format.
-    Metrics,
+wire_enum! {
+    /// One client request: the full [`lr_core::Session`] surface plus
+    /// handshake, liveness, and introspection.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ClientRequest as "client request" {
+        /// Handshake: first request on every connection. The server
+        /// answers [`ClientReply::Welcome`] — or an unsolicited
+        /// [`WireError::ServerBusy`] under request id 0 if admission
+        /// control refused the connection before reading anything.
+        1 hello Hello,
+        2 begin Begin,
+        3 read Read { table: TableId, key: Key },
+        4 read_for_update ReadForUpdate { table: TableId, key: Key },
+        5 update Update { table: TableId, key: Key, value: Value },
+        6 insert Insert { table: TableId, key: Key, value: Value },
+        7 delete Delete { table: TableId, key: Key },
+        8 scan_range ScanRange { table: TableId, from: Key, to: Key },
+        9 commit Commit,
+        10 abort Abort,
+        11 savepoint Savepoint,
+        12 rollback_to RollbackTo { sp: Lsn },
+        13 ping Ping,
+        /// Engine + server metrics as JSON lines.
+        14 stats Stats,
+        /// Engine + server metrics in Prometheus exposition format.
+        15 metrics Metrics,
+    }
 }
 
-impl ClientRequest {
-    /// The request's wire tag.
-    pub fn tag(&self) -> u8 {
+wire_enum! {
+    /// One server reply. The shape is fixed per request kind; a mismatch
+    /// is a protocol error the client surfaces as `RecoveryInvariant`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ClientReply as "client reply" {
+        /// Handshake accepted: the connection's session id and the
+        /// server's admission cap.
+        1 welcome Welcome { session_id: u64, max_sessions: u64 },
+        /// `Begin` succeeded.
+        2 txn Txn(txn: TxnId),
+        /// Point-read result.
+        3 value Value(value: Option<Value>),
+        /// Range-scan result.
+        4 rows Rows(rows: Vec<(Key, Value)>),
+        /// Success with nothing to report (writes, commit).
+        5 unit Unit,
+        /// `Abort` / `RollbackTo` succeeded, undoing this many operations.
+        6 undone Undone { ops: u64 },
+        /// `Savepoint` established at this LSN.
+        7 savepoint_at SavepointAt(lsn: Lsn),
+        8 pong Pong,
+        /// Introspection text (JSON lines or Prometheus exposition).
+        9 text Text(text: String),
+        10 err Err(error: WireError),
+    }
+}
+
+impl Reply for ClientReply {
+    fn from_error(e: WireError) -> ClientReply {
+        ClientReply::Err(e)
+    }
+
+    fn error(&self) -> Option<&WireError> {
         match self {
-            ClientRequest::Hello => REQ_HELLO,
-            ClientRequest::Begin => REQ_BEGIN,
-            ClientRequest::Read { .. } => REQ_READ,
-            ClientRequest::ReadForUpdate { .. } => REQ_READ_FOR_UPDATE,
-            ClientRequest::Update { .. } => REQ_UPDATE,
-            ClientRequest::Insert { .. } => REQ_INSERT,
-            ClientRequest::Delete { .. } => REQ_DELETE,
-            ClientRequest::ScanRange { .. } => REQ_SCAN_RANGE,
-            ClientRequest::Commit => REQ_COMMIT,
-            ClientRequest::Abort => REQ_ABORT,
-            ClientRequest::Savepoint => REQ_SAVEPOINT,
-            ClientRequest::RollbackTo { .. } => REQ_ROLLBACK_TO,
-            ClientRequest::Ping => REQ_PING,
-            ClientRequest::Stats => REQ_STATS,
-            ClientRequest::Metrics => REQ_METRICS,
+            ClientReply::Err(e) => Some(e),
+            _ => None,
         }
-    }
-
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u8(self.tag());
-        match self {
-            ClientRequest::Hello
-            | ClientRequest::Begin
-            | ClientRequest::Commit
-            | ClientRequest::Abort
-            | ClientRequest::Savepoint
-            | ClientRequest::Ping
-            | ClientRequest::Stats
-            | ClientRequest::Metrics => {}
-            ClientRequest::Read { table, key } | ClientRequest::ReadForUpdate { table, key } => {
-                e.put_table(*table);
-                e.put_key(*key);
-            }
-            ClientRequest::Update { table, key, value }
-            | ClientRequest::Insert { table, key, value } => {
-                e.put_table(*table);
-                e.put_key(*key);
-                e.put_bytes(value);
-            }
-            ClientRequest::Delete { table, key } => {
-                e.put_table(*table);
-                e.put_key(*key);
-            }
-            ClientRequest::ScanRange { table, from, to } => {
-                e.put_table(*table);
-                e.put_key(*from);
-                e.put_key(*to);
-            }
-            ClientRequest::RollbackTo { sp } => e.put_lsn(*sp),
-        }
-        e.finish()
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<ClientRequest, CodecError> {
-        let mut d = Decoder::new(buf);
-        let req = match d.get_u8()? {
-            REQ_HELLO => ClientRequest::Hello,
-            REQ_BEGIN => ClientRequest::Begin,
-            REQ_READ => ClientRequest::Read { table: d.get_table()?, key: d.get_key()? },
-            REQ_READ_FOR_UPDATE => {
-                ClientRequest::ReadForUpdate { table: d.get_table()?, key: d.get_key()? }
-            }
-            REQ_UPDATE => ClientRequest::Update {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                value: d.get_bytes()?,
-            },
-            REQ_INSERT => ClientRequest::Insert {
-                table: d.get_table()?,
-                key: d.get_key()?,
-                value: d.get_bytes()?,
-            },
-            REQ_DELETE => ClientRequest::Delete { table: d.get_table()?, key: d.get_key()? },
-            REQ_SCAN_RANGE => ClientRequest::ScanRange {
-                table: d.get_table()?,
-                from: d.get_key()?,
-                to: d.get_key()?,
-            },
-            REQ_COMMIT => ClientRequest::Commit,
-            REQ_ABORT => ClientRequest::Abort,
-            REQ_SAVEPOINT => ClientRequest::Savepoint,
-            REQ_ROLLBACK_TO => ClientRequest::RollbackTo { sp: d.get_lsn()? },
-            REQ_PING => ClientRequest::Ping,
-            REQ_STATS => ClientRequest::Stats,
-            REQ_METRICS => ClientRequest::Metrics,
-            tag => return Err(CodecError::BadTag { context: "client request", tag }),
-        };
-        d.expect_done()?;
-        Ok(req)
-    }
-}
-
-/// Human name for a request tag (telemetry labels, debug output).
-pub fn req_name(tag: u8) -> &'static str {
-    match tag {
-        REQ_HELLO => "hello",
-        REQ_BEGIN => "begin",
-        REQ_READ => "read",
-        REQ_READ_FOR_UPDATE => "read_for_update",
-        REQ_UPDATE => "update",
-        REQ_INSERT => "insert",
-        REQ_DELETE => "delete",
-        REQ_SCAN_RANGE => "scan_range",
-        REQ_COMMIT => "commit",
-        REQ_ABORT => "abort",
-        REQ_SAVEPOINT => "savepoint",
-        REQ_ROLLBACK_TO => "rollback_to",
-        REQ_PING => "ping",
-        REQ_STATS => "stats",
-        REQ_METRICS => "metrics",
-        _ => "unknown",
-    }
-}
-
-/// One server reply. The shape is fixed per request kind; a mismatch is a
-/// protocol error the client surfaces as `RecoveryInvariant`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientReply {
-    /// Handshake accepted: the connection's session id and the server's
-    /// admission cap.
-    Welcome {
-        session_id: u64,
-        max_sessions: u64,
-    },
-    /// `Begin` succeeded.
-    Txn(TxnId),
-    /// Point-read result.
-    Value(Option<Value>),
-    /// Range-scan result.
-    Rows(Vec<(Key, Value)>),
-    /// Success with nothing to report (writes, commit).
-    Unit,
-    /// `Abort` / `RollbackTo` succeeded, undoing this many operations.
-    Undone {
-        ops: u64,
-    },
-    /// `Savepoint` established at this LSN.
-    SavepointAt(Lsn),
-    Pong,
-    /// Introspection text (JSON lines or Prometheus exposition).
-    Text(String),
-    Err(WireError),
-}
-
-const REP_WELCOME: u8 = 1;
-const REP_TXN: u8 = 2;
-const REP_VALUE: u8 = 3;
-const REP_ROWS: u8 = 4;
-const REP_UNIT: u8 = 5;
-const REP_UNDONE: u8 = 6;
-const REP_SAVEPOINT_AT: u8 = 7;
-const REP_PONG: u8 = 8;
-const REP_TEXT: u8 = 9;
-const REP_ERR: u8 = 10;
-
-impl ClientReply {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        match self {
-            ClientReply::Welcome { session_id, max_sessions } => {
-                e.put_u8(REP_WELCOME);
-                e.put_u64(*session_id);
-                e.put_u64(*max_sessions);
-            }
-            ClientReply::Txn(txn) => {
-                e.put_u8(REP_TXN);
-                e.put_txn(*txn);
-            }
-            ClientReply::Value(v) => {
-                e.put_u8(REP_VALUE);
-                match v {
-                    None => e.put_u8(0),
-                    Some(bytes) => {
-                        e.put_u8(1);
-                        e.put_bytes(bytes);
-                    }
-                }
-            }
-            ClientReply::Rows(rows) => {
-                e.put_u8(REP_ROWS);
-                e.put_u64(rows.len() as u64);
-                for (k, v) in rows {
-                    e.put_key(*k);
-                    e.put_bytes(v);
-                }
-            }
-            ClientReply::Unit => e.put_u8(REP_UNIT),
-            ClientReply::Undone { ops } => {
-                e.put_u8(REP_UNDONE);
-                e.put_u64(*ops);
-            }
-            ClientReply::SavepointAt(lsn) => {
-                e.put_u8(REP_SAVEPOINT_AT);
-                e.put_lsn(*lsn);
-            }
-            ClientReply::Pong => e.put_u8(REP_PONG),
-            ClientReply::Text(s) => {
-                e.put_u8(REP_TEXT);
-                e.put_bytes(s.as_bytes());
-            }
-            ClientReply::Err(w) => {
-                e.put_u8(REP_ERR);
-                put_error(&mut e, w);
-            }
-        }
-        e.finish()
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<ClientReply, CodecError> {
-        let mut d = Decoder::new(buf);
-        let rep = match d.get_u8()? {
-            REP_WELCOME => {
-                ClientReply::Welcome { session_id: d.get_u64()?, max_sessions: d.get_u64()? }
-            }
-            REP_TXN => ClientReply::Txn(d.get_txn()?),
-            REP_VALUE => match d.get_u8()? {
-                0 => ClientReply::Value(None),
-                _ => ClientReply::Value(Some(d.get_bytes()?)),
-            },
-            REP_ROWS => {
-                let n = d.get_u64()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    rows.push((d.get_key()?, d.get_bytes()?));
-                }
-                ClientReply::Rows(rows)
-            }
-            REP_UNIT => ClientReply::Unit,
-            REP_UNDONE => ClientReply::Undone { ops: d.get_u64()? },
-            REP_SAVEPOINT_AT => ClientReply::SavepointAt(d.get_lsn()?),
-            REP_PONG => ClientReply::Pong,
-            REP_TEXT => {
-                let bytes = d.get_bytes()?;
-                ClientReply::Text(String::from_utf8_lossy(&bytes).into_owned())
-            }
-            REP_ERR => ClientReply::Err(get_error(&mut d)?),
-            tag => return Err(CodecError::BadTag { context: "client reply", tag }),
-        };
-        d.expect_done()?;
-        Ok(rep)
     }
 }
 
@@ -366,11 +116,11 @@ mod tests {
             ClientRequest::Stats,
             ClientRequest::Metrics,
         ];
-        assert_eq!(reqs.len(), MAX_CLIENT_REQ_TAG as usize, "one sample per tag");
+        assert_eq!(reqs.len(), ClientRequest::MAX_TAG as usize, "one sample per tag");
         let mut seen = std::collections::HashSet::new();
         for req in reqs {
             assert!(seen.insert(req.tag()), "duplicate tag {}", req.tag());
-            assert_ne!(req_name(req.tag()), "unknown");
+            assert_ne!(req.name(), "unknown");
             roundtrip_req(req);
         }
     }
@@ -405,5 +155,20 @@ mod tests {
         let mut buf = ClientRequest::Ping.encode();
         buf.push(0);
         assert!(ClientRequest::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn value_option_tags_other_than_zero_and_one_are_rejected() {
+        // ClientReply::Value with option tag 7 in front of a 1-byte value.
+        let bytes = [3, 7, 1, 0, 0, 0, 1];
+        assert!(matches!(
+            ClientReply::decode(&bytes),
+            Err(lr_common::codec::CodecError::BadTag { tag: 7, .. })
+        ));
+        // A Rows count far beyond the bytes present fails without
+        // preallocating for it.
+        let mut rows = vec![4];
+        rows.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ClientReply::decode(&rows).is_err());
     }
 }

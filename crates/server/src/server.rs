@@ -1,13 +1,16 @@
-//! The multi-session server: accept loop, admission control, and
-//! per-connection request dispatch onto engine [`Session`]s.
+//! The multi-session server: admission control and per-connection
+//! request dispatch onto engine [`Session`]s, on the shared RPC stack.
 //!
 //! ## Threading shape
 //!
 //! One accept thread per server, one handler thread per admitted
-//! connection — the same invariant the engine's session layer is built
-//! on: a connection *is* a session, a session runs one transaction at a
-//! time, so the TC's per-transaction state stays un-latched while any
-//! number of connections run concurrently.
+//! connection ([`rpc::Acceptor`]) — the same invariant the engine's
+//! session layer is built on: a connection *is* a session, a session runs
+//! one transaction at a time, so the TC's per-transaction state stays
+//! un-latched while any number of connections run concurrently. Framing,
+//! the request-id envelope and the typed answer to a corrupt frame are
+//! [`rpc::serve_frame`]'s; this module keeps only sessions, admission and
+//! the `server_` metrics.
 //!
 //! ## Admission control
 //!
@@ -24,19 +27,15 @@
 //! locks (the session `Drop` already guarantees this; the handler does it
 //! explicitly so the abort is counted and traced).
 
-use crate::conn::{ChannelConnector, ChannelListener, Conn, Listener, TcpFrontend};
 use crate::protocol::{ClientReply, ClientRequest};
-use lr_common::codec::{unframe, FRAME_HEADER};
+use lr_common::rpc::{self, Acceptor, ChannelConnector, ChannelListener, Conn, ConnJob};
+use lr_common::rpc::{Listener, TcpPort, WireError};
 use lr_common::{counter_struct, Result};
 use lr_core::{Engine, EventKind, MetricsSnapshot, Session};
-use lr_dc::server::{envelope, open_envelope};
-use lr_dc::WireError;
 use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -94,7 +93,6 @@ struct ServerInner {
     stats: Mutex<ServerStats>,
     active: AtomicU64,
     next_conn_id: AtomicU64,
-    stopping: AtomicBool,
 }
 
 impl ServerInner {
@@ -115,8 +113,7 @@ impl ServerInner {
 /// shut down or dropped.
 pub struct Server {
     inner: Arc<ServerInner>,
-    listener: Arc<dyn Listener>,
-    accept_thread: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl Server {
@@ -133,25 +130,18 @@ impl Server {
             active: AtomicU64::new(0),
             // Session ids start at 1 so 0 never names a live session.
             next_conn_id: AtomicU64::new(1),
-            stopping: AtomicBool::new(false),
         });
-        let accept_thread = {
-            let inner = inner.clone();
-            let listener = listener.clone();
-            std::thread::Builder::new()
-                .name("lr-server-accept".into())
-                .spawn(move || accept_loop(&inner, listener.as_ref()))
-                .map_err(|e| lr_common::Error::Io(std::io::Error::other(e)))?
-        };
-        Ok(Server { inner, listener, accept_thread: Some(accept_thread) })
+        let admitting = inner.clone();
+        let acceptor = Acceptor::spawn("lr-server", listener, move |conn| admit(&admitting, conn))?;
+        Ok(Server { inner, acceptor })
     }
 
     /// Start on a fresh loopback TCP port; returns the server and the
     /// address clients dial.
     pub fn start_tcp(engine: Arc<Engine>, cfg: ServerConfig) -> Result<(Server, SocketAddr)> {
-        let front = Arc::new(TcpFrontend::bind_loopback()?);
-        let addr = front.addr();
-        Ok((Server::start(engine, front, cfg)?, addr))
+        let port = Arc::new(TcpPort::bind_loopback()?);
+        let addr = port.addr();
+        Ok((Server::start(engine, port, cfg)?, addr))
     }
 
     /// Start on an in-process channel front; returns the server and the
@@ -189,62 +179,54 @@ impl Server {
     /// still-open connections exit when their clients hang up — they hold
     /// their own engine references, so this never blocks on a client.
     pub fn shutdown(&mut self) {
-        self.inner.stopping.store(true, Ordering::Release);
-        self.listener.wake();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
+/// Admission, on the accept thread (which never reads from a new
+/// connection, so a silent client cannot wedge it).
+fn admit(inner: &Arc<ServerInner>, mut conn: Box<dyn Conn>) -> ConnJob {
+    let active = inner.active.load(Ordering::Acquire);
+    let cap = inner.cfg.max_sessions as u64;
+    if active >= cap {
+        inner.stats.lock().connections_rejected += 1;
+        // One unsolicited Busy frame under request id 0, then a graceful
+        // close — on the connection's own thread, because the close must
+        // drain the peer's pending bytes (or a TCP RST could discard the
+        // Busy reply).
+        let busy = rpc::seal(0, &ClientReply::Err(WireError::ServerBusy { active, cap }).encode());
+        return Box::new(move || {
+            let _ = conn.send(busy);
+            conn.graceful_close();
+        });
     }
+    let slot = Slot::take(inner);
+    let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
+    Box::new(move || handle_conn(slot, conn, conn_id))
 }
 
-fn accept_loop(inner: &Arc<ServerInner>, listener: &dyn Listener) {
-    loop {
-        let mut conn = match listener.accept() {
-            Ok(Some(conn)) => conn,
-            Ok(None) => return,
-            // Transient accept failure (e.g. aborted handshake): keep
-            // serving unless we're shutting down.
-            Err(_) if !inner.stopping.load(Ordering::Acquire) => continue,
-            Err(_) => return,
-        };
-        let active = inner.active.load(Ordering::Acquire);
-        let cap = inner.cfg.max_sessions as u64;
-        if active >= cap {
-            inner.stats.lock().connections_rejected += 1;
-            // One unsolicited Busy frame under request id 0, then a
-            // graceful close — off-thread, because the close must drain
-            // the peer's pending bytes (or a TCP RST could discard the
-            // Busy reply) and admission must never block on a client.
-            let rep = ClientReply::Err(WireError::ServerBusy { active, cap });
-            let busy = envelope(0, &rep.encode());
-            let _ = std::thread::Builder::new().name("lr-server-reject".into()).spawn(move || {
-                let _ = conn.send_frame(&busy);
-                conn.graceful_close();
-            });
-            continue;
-        }
+/// One admitted session's place under the cap, held from admission to
+/// teardown — and released even if the connection's thread never starts.
+struct Slot(Arc<ServerInner>);
+
+impl Slot {
+    fn take(inner: &Arc<ServerInner>) -> Slot {
         inner.active.fetch_add(1, Ordering::AcqRel);
         inner.stats.lock().connections_accepted += 1;
-        let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let handler_inner = inner.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("lr-server-conn-{conn_id}"))
-            .spawn(move || handle_conn(&handler_inner, conn, conn_id));
-        if spawned.is_err() {
-            inner.active.fetch_sub(1, Ordering::AcqRel);
-            inner.stats.lock().connections_closed += 1;
-        }
+        Slot(inner.clone())
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.stats.lock().connections_closed += 1;
+        self.0.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// One connection's lifetime: session open → request loop → teardown.
-fn handle_conn(inner: &Arc<ServerInner>, mut conn: Box<dyn Conn>, conn_id: u64) {
+fn handle_conn(slot: Slot, mut conn: Box<dyn Conn>, conn_id: u64) {
+    let inner = &slot.0;
     let mut session = Engine::session(&inner.engine);
     let trace = inner.engine.trace();
     if trace.is_enabled() {
@@ -253,67 +235,31 @@ fn handle_conn(inner: &Arc<ServerInner>, mut conn: Box<dyn Conn>, conn_id: u64) 
             active: inner.active.load(Ordering::Acquire),
         });
     }
-    // A recv of Ok(None) (clean close), a torn frame, or an oversized
-    // length prefix all end the connection; teardown below aborts any
-    // open transaction.
-    while let Ok(Some(raw)) = conn.recv_frame() {
-        let started = Instant::now();
-        let (req_id, rep) = serve_raw_frame(inner, &mut session, conn_id, &raw);
-        let is_err = matches!(rep, ClientReply::Err(_));
-        let reply_body = envelope(req_id, &rep.encode());
-        {
-            let mut s = inner.stats.lock();
-            s.requests += 1;
-            s.request_errors += u64::from(is_err);
-            s.bytes_in += raw.len() as u64;
-            s.bytes_out += (reply_body.len() + FRAME_HEADER) as u64;
-            s.request_latency_us.record(started.elapsed().as_micros() as u64);
-        }
-        if conn.send_frame(&reply_body).is_err() {
-            break;
-        }
-    }
+    // A clean close, a torn frame, or an oversized length prefix ends the
+    // loop; teardown below aborts any open transaction.
+    rpc::serve_conn(conn.as_mut(), |raw| {
+        let (reply, ex) =
+            rpc::serve_frame(raw, |_, req, _| dispatch(inner, &mut session, conn_id, req));
+        let mut s = inner.stats.lock();
+        s.requests += 1;
+        s.request_errors += u64::from(!ex.ok);
+        s.bytes_in += raw.len() as u64;
+        s.bytes_out += reply.len() as u64;
+        s.request_latency_us.record(ex.lat_us);
+        reply
+    });
     // Abort-on-disconnect: a dead connection must strand no locks.
     let aborted_txn = session.current_txn().is_some();
     if aborted_txn {
         let _ = session.abort();
     }
     drop(session);
-    {
-        let mut s = inner.stats.lock();
-        s.connections_closed += 1;
-        s.disconnect_aborts += u64::from(aborted_txn);
-    }
-    inner.active.fetch_sub(1, Ordering::AcqRel);
+    inner.stats.lock().disconnect_aborts += u64::from(aborted_txn);
+    let trace = trace.clone();
+    drop(slot);
     if trace.is_enabled() {
         trace.emit(EventKind::ClientDisconnect { conn: conn_id, aborted_txn });
     }
-}
-
-/// Unframe → open envelope → decode → dispatch, each failure answered as
-/// a typed error under the best request id we could recover (0 when the
-/// frame itself could not be trusted).
-fn serve_raw_frame(
-    inner: &ServerInner,
-    session: &mut Session,
-    conn_id: u64,
-    raw: &[u8],
-) -> (u64, ClientReply) {
-    let payload = match unframe(raw) {
-        Ok(p) => p,
-        Err(e) => return (0, ClientReply::Err(WireError::RecoveryInvariant(format!("wire: {e}")))),
-    };
-    let (req_id, body) = match open_envelope(payload) {
-        Ok(pair) => pair,
-        Err(e) => return (0, ClientReply::Err(WireError::RecoveryInvariant(format!("wire: {e}")))),
-    };
-    let req = match ClientRequest::decode(body) {
-        Ok(req) => req,
-        Err(e) => {
-            return (req_id, ClientReply::Err(WireError::RecoveryInvariant(format!("wire: {e}"))))
-        }
-    };
-    (req_id, dispatch(inner, session, conn_id, req))
 }
 
 /// Map one decoded request onto the session / engine surface.
@@ -323,6 +269,7 @@ fn dispatch(
     conn_id: u64,
     req: ClientRequest,
 ) -> ClientReply {
+    let unit = |()| ClientReply::Unit;
     let outcome = match req {
         ClientRequest::Hello => Ok(ClientReply::Welcome {
             session_id: conn_id,
@@ -334,18 +281,16 @@ fn dispatch(
             session.read_for_update(table, key).map(ClientReply::Value)
         }
         ClientRequest::Update { table, key, value } => {
-            session.update_in(table, key, value).map(|()| ClientReply::Unit)
+            session.update_in(table, key, value).map(unit)
         }
         ClientRequest::Insert { table, key, value } => {
-            session.insert_in(table, key, value).map(|()| ClientReply::Unit)
+            session.insert_in(table, key, value).map(unit)
         }
-        ClientRequest::Delete { table, key } => {
-            session.delete_in(table, key).map(|()| ClientReply::Unit)
-        }
+        ClientRequest::Delete { table, key } => session.delete_in(table, key).map(unit),
         ClientRequest::ScanRange { table, from, to } => {
             session.scan_range(table, from, to).map(ClientReply::Rows)
         }
-        ClientRequest::Commit => session.commit().map(|()| ClientReply::Unit),
+        ClientRequest::Commit => session.commit().map(unit),
         ClientRequest::Abort => session.abort().map(|u| ClientReply::Undone { ops: u.ops_undone }),
         ClientRequest::Savepoint => session.savepoint().map(ClientReply::SavepointAt),
         ClientRequest::RollbackTo { sp } => {

@@ -4,7 +4,7 @@
 //! is its byte offset in the log, so LSNs are dense, ordered, and directly
 //! convertible to log-page counts for the I/O cost accounting.
 
-use lr_common::codec::{CodecError, Decoder, Encoder};
+use lr_common::codec::{CodecError, Decoder, Encoder, Field};
 use lr_common::{Key, Lsn, PageId, TableId, TxnId, Value};
 
 /// A decoded record paired with its LSN.
@@ -388,6 +388,35 @@ impl LogPayload {
         };
         d.expect_done()?;
         Ok(payload)
+    }
+}
+
+/// A record crosses a message boundary as its LSN plus its WAL body — the
+/// one record format the whole workspace shares.
+impl Field for LogRecord {
+    fn put(&self, e: &mut Encoder) {
+        e.put_lsn(self.lsn);
+        e.put_bytes(&self.payload.encode());
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<LogRecord, CodecError> {
+        let lsn = d.get_lsn()?;
+        Ok(LogRecord { lsn, payload: LogPayload::decode(&d.get_bytes()?)? })
+    }
+}
+
+/// An SMO crosses a message boundary as the WAL body of
+/// [`LogPayload::Smo`].
+impl Field for SmoRecord {
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(&LogPayload::Smo(self.clone()).encode());
+    }
+
+    fn get(d: &mut Decoder<'_>) -> Result<SmoRecord, CodecError> {
+        match LogPayload::decode(&d.get_bytes()?)? {
+            LogPayload::Smo(smo) => Ok(smo),
+            _ => Err(CodecError::BadTag { context: "smo record", tag: 0 }),
+        }
     }
 }
 

@@ -445,9 +445,9 @@ fn remote_transport_drop_mid_prepare_is_a_clean_error_not_a_wedged_token() {
     // keeping our own handle so we can stand up a fresh server later.
     let reg = lr_dc::backend("btree").unwrap();
     let mut disk = lr_storage::SimDisk::new(512, 0, SimClock::new(), IoModel::zero());
-    (reg.format)(&mut disk).unwrap();
+    reg.format(&mut disk).unwrap();
     let wal = Wal::new_shared(4096);
-    let inner = (reg.open)(Box::new(disk), wal, DcConfig::default()).unwrap();
+    let inner = reg.open(Box::new(disk), wal, DcConfig::default()).unwrap();
     let (remote, transport) = remote_loopback(inner.clone(), REMOTE_BTREE_BACKEND);
     remote.create_table(table).unwrap();
 

@@ -8,9 +8,9 @@
 //! client-facing session server ([`lr_server::Server`]).
 
 use lr_common::codec::{frame, read_raw_frame_from, unframe, MAX_FRAME_BODY};
+use lr_common::rpc::{envelope, open_envelope};
 use lr_common::{IoModel, SimClock, TableId};
 use lr_core::{Engine, EngineConfig};
-use lr_dc::server::{envelope, open_envelope};
 use lr_dc::{DcConfig, DcReply, DcRequest, DcServer, TcpDcServer, WireError};
 use lr_server::protocol::{ClientReply, ClientRequest};
 use lr_server::{Server, ServerConfig};
@@ -79,8 +79,8 @@ fn is_wire_error(w: &WireError) -> bool {
 fn dc_server_answers_corruption_typed_or_hangs_up_clean() {
     let reg = lr_dc::backend("btree").unwrap();
     let mut disk = lr_storage::SimDisk::new(512, 0, SimClock::new(), IoModel::zero());
-    (reg.format)(&mut disk).unwrap();
-    let inner = (reg.open)(Box::new(disk), Wal::new_shared(4096), DcConfig::default()).unwrap();
+    reg.format(&mut disk).unwrap();
+    let inner = reg.open(Box::new(disk), Wal::new_shared(4096), DcConfig::default()).unwrap();
     inner.create_table(TableId(1)).unwrap();
     let tcp = TcpDcServer::spawn(Arc::new(DcServer::new(inner))).unwrap();
     let addr = tcp.addr();
